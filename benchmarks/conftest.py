@@ -27,13 +27,11 @@ BENCH_FLEET_JSON = Path(__file__).resolve().parent / "BENCH_fleet.json"
 BENCH_PHYSICS_JSON = Path(__file__).resolve().parent / "BENCH_physics.json"
 BENCH_IDENTIFY_JSON = Path(__file__).resolve().parent / "BENCH_identify.json"
 BENCH_CAMPAIGNS_JSON = Path(__file__).resolve().parent / "BENCH_campaigns.json"
-BENCH_TRANSPORT_JSON = Path(__file__).resolve().parent / "BENCH_transport.json"
 
 _fleet_results = {}
 _physics_results = {}
 _identify_results = {}
 _campaign_results = {}
-_transport_results = {}
 
 
 def smoke_mode() -> bool:
@@ -102,22 +100,6 @@ def record_campaign_result():
     return _record
 
 
-@pytest.fixture
-def record_transport_result():
-    """Collect one bench's machine-readable row for ``BENCH_transport.json``.
-
-    The shard-transport bench records serialized-bytes-per-scan and
-    end-to-end throughput for the pickle reference path versus the
-    shared-memory descriptor path, so the serialization-tax trajectory
-    can be tracked across commits next to the other bench families.
-    """
-
-    def _record(name: str, payload: dict) -> None:
-        _transport_results[name] = payload
-
-    return _record
-
-
 def pytest_sessionfinish(session, exitstatus):
     if _fleet_results:
         BENCH_FLEET_JSON.write_text(
@@ -134,10 +116,6 @@ def pytest_sessionfinish(session, exitstatus):
     if _campaign_results:
         BENCH_CAMPAIGNS_JSON.write_text(
             json.dumps(_campaign_results, indent=2, sort_keys=True) + "\n"
-        )
-    if _transport_results:
-        BENCH_TRANSPORT_JSON.write_text(
-            json.dumps(_transport_results, indent=2, sort_keys=True) + "\n"
         )
 
 

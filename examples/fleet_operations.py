@@ -17,15 +17,7 @@ process pool genuinely breaks) to show the recovery ladder at work:
 the scan completes with the very same records, and the telemetry
 ``health`` section accounts for the retry and the rebuilt pool.
 
-``--transport`` picks how shard payloads cross the process boundary:
-``shm`` moves lines, fingerprints, and result waveforms through
-parent-owned shared-memory arenas (O(1) descriptors in the task
-pickle), ``pickle`` is the byte-for-byte reference path, and ``auto``
-(default) uses shm whenever a process pool and ``/dev/shm`` are both
-in play.  The printed records are identical whichever you pick.
-
 Run:  python examples/fleet_operations.py [--shards N] [--inject-crash]
-          [--transport auto|pickle|shm]
 """
 
 import argparse
@@ -64,7 +56,6 @@ def make_detector(itdr):
 
 def part_one_shared_datapath(
     factory, shards: int = 1, inject_crash: bool = False,
-    transport: str = "auto",
 ) -> None:
     print("=" * 64)
     print(f"1. one datapath design, eight buses, {shards} scan shard(s)"
@@ -86,7 +77,6 @@ def part_one_shared_datapath(
         itdr_config=config,
         captures_per_check=16,
         shards=shards,
-        transport=transport,
         seed=1,
         retry_policy=RetryPolicy(backoff_base_s=0.05),
         fault_injector=injector,
@@ -126,11 +116,6 @@ def part_one_shared_datapath(
               f"{health['serial_fallbacks']} serial fallbacks, "
               f"{health['pool_rebuilds']} pool rebuilds over "
               f"{health['dispatches']} dispatches")
-        transport_cell = health["transport"]
-        print(f"shard transport    : {executor.resolved_transport()} — "
-              f"{transport_cell['bytes_referenced']} bytes by arena vs "
-              f"{transport_cell['bytes_moved']} by stream, "
-              f"{transport_cell['worker_cache_hits']} digest-cache hits")
         if outcome.degraded:
             rungs = {h.shard: h.outcome for h in outcome.shard_health
                      if h.degraded}
@@ -207,16 +192,10 @@ if __name__ == "__main__":
         help="kill a shard worker mid-scan to demo failure recovery "
              "(needs --shards >= 2 for a process pool)",
     )
-    parser.add_argument(
-        "--transport", choices=("auto", "pickle", "shm"), default="auto",
-        help="shard payload transport: shared-memory arenas, the pickle "
-             "reference path, or auto-selection (records are identical)",
-    )
     args = parser.parse_args()
     factory = prototype_line_factory()
     part_one_shared_datapath(
         factory, shards=args.shards, inject_crash=args.inject_crash,
-        transport=args.transport,
     )
     part_two_adaptive_aging(factory)
     part_three_multilane(factory)

@@ -286,10 +286,7 @@ class Campaign:
         seed: Campaign seed — with the protocol name and arm ids, the
             complete description of every random draw.
         n_rounds: Adaptive rounds per arm.
-        shards / backend / transport: Fleet execution knobs
-            (measurement-invisible; ``transport`` selects the shard
-            payload path — shared-memory descriptors or the pickle
-            reference — and never changes outcome bytes).
+        shards / backend: Fleet execution knobs (measurement-invisible).
         telemetry: Shared sink; pass one across campaigns to aggregate
             a whole suite into a single snapshot.
     """
@@ -303,7 +300,6 @@ class Campaign:
         n_rounds: int = 6,
         shards: int = 1,
         backend: str = "auto",
-        transport: str = "auto",
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         self.spec = (
@@ -330,7 +326,6 @@ class Campaign:
         self.n_rounds = int(n_rounds)
         self.shards = shards
         self.backend = backend
-        self.transport = transport
         self.telemetry = telemetry if telemetry is not None else Telemetry()
 
     # ------------------------------------------------------------------
@@ -363,7 +358,6 @@ class Campaign:
             captures_per_check=spec.captures_per_check,
             shards=self.shards,
             backend=self.backend,
-            transport=self.transport,
             seed=self.seed,
             telemetry=self.telemetry,
         )
@@ -498,7 +492,6 @@ class CampaignSuite:
         n_rounds: int = 6,
         shards: int = 1,
         backend: str = "auto",
-        transport: str = "auto",
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         self.protocols = list(
@@ -510,7 +503,6 @@ class CampaignSuite:
         self.n_rounds = int(n_rounds)
         self.shards = shards
         self.backend = backend
-        self.transport = transport
         self.telemetry = telemetry if telemetry is not None else Telemetry()
 
     def run(self) -> Dict[str, CampaignOutcome]:
@@ -523,7 +515,6 @@ class CampaignSuite:
                 n_rounds=self.n_rounds,
                 shards=self.shards,
                 backend=self.backend,
-                transport=self.transport,
                 telemetry=self.telemetry,
             )
             outcomes[protocol] = campaign.run()

@@ -65,13 +65,6 @@ from .itdr import IIPCapture, ITDR, ITDRConfig, MeasurementBudget
 from .latency import LatencyModel, LatencyPoint
 from .solvecache import SolveCache, process_solve_cache
 from .manager import ScanOutcome, SharedITDRManager
-from .transport import (
-    ArrayRef,
-    BufferRef,
-    ShardArena,
-    ShmPayload,
-    shared_memory_available,
-)
 from .multiwire import (
     FUSION_POLICIES,
     MultiWireAuthenticator,
@@ -134,11 +127,6 @@ __all__ = [
     "FleetDispatchError",
     "RetryPolicy",
     "ShardHealth",
-    "ArrayRef",
-    "BufferRef",
-    "ShardArena",
-    "ShmPayload",
-    "shared_memory_available",
     "FleetIdentifyOutcome",
     "FleetIdentifyRecord",
     "FleetRecord",

@@ -141,10 +141,9 @@ class _LevelTables:
 
     #: Per active reference level: P(Y=1) per record point, ``(N,)``.
     probs: Tuple[np.ndarray, ...]
-    #: Per active reference level: binomial CDF table, ``(n_j, N)``.
-    cdfs: Tuple[np.ndarray, ...]
-    #: Stacked CDF tensor ``(L, max_nj, N)`` padded with a sentinel above
-    #: every uniform draw, so padded rows contribute zero counts.
+    #: Stacked CDF tensor ``(L, max_nj, N)``: level ``j``'s binomial CDF
+    #: table is ``cdf_pad[j, :n_j]``, padded with a sentinel above every
+    #: uniform draw, so padded rows contribute zero counts.
     cdf_pad: np.ndarray
     #: Trials assigned to each active level (Vernier split of repetitions).
     n_js: Tuple[int, ...]
@@ -222,24 +221,20 @@ class FusedCountKernel:
 
     def _build_tables(self, v_samples: np.ndarray) -> _LevelTables:
         f32 = self.dtype == np.float32
-        probs = []
-        cdfs = []
-        for level, n_j in self._active:
-            p = self.comparator.probability_of_one(
-                v_samples, level, dtype=self.dtype if f32 else float
-            )
-            probs.append(p)
-            cdfs.append(binomial_cdf_table(n_j, p, dtype=self.dtype))
         n_points = len(v_samples)
         max_nj = max(n_j for _, n_j in self._active)
         cdf_pad = np.full(
             (len(self._active), max_nj, n_points), _PAD, dtype=self.dtype
         )
-        for j, cdf in enumerate(cdfs):
-            cdf_pad[j, : cdf.shape[0]] = cdf
+        probs = []
+        for j, (level, n_j) in enumerate(self._active):
+            p = self.comparator.probability_of_one(
+                v_samples, level, dtype=self.dtype if f32 else float
+            )
+            probs.append(p)
+            cdf_pad[j, :n_j] = binomial_cdf_table(n_j, p, dtype=self.dtype)
         return _LevelTables(
             probs=tuple(probs),
-            cdfs=tuple(cdfs),
             cdf_pad=cdf_pad,
             n_js=tuple(n_j for _, n_j in self._active),
             n_points=n_points,
@@ -297,10 +292,10 @@ class FusedCountKernel:
             # budget fall back to direct binomial sampling, in the same
             # per-level order the grid path uses.
             counts = np.zeros((c, n), dtype=np.int64)
-            for p, cdf, n_j in zip(tables.probs, tables.cdfs, tables.n_js):
+            for p, cdf, n_j in zip(tables.probs, tables.cdf_pad, tables.n_js):
                 if n_j * size <= self._budget:
                     u = self._uniform((c, n), rng)
-                    counts += (u[None, :, :] > cdf[:, None, :]).sum(axis=0)
+                    counts += (u[None, :, :] > cdf[:n_j, None, :]).sum(axis=0)
                 else:
                     counts += rng.binomial(n_j, np.broadcast_to(p, (c, n)))
         return self._lookup[counts]

@@ -322,16 +322,6 @@ class _HealthBuilder:
 # ----------------------------------------------------------------------
 # the recovery engine
 # ----------------------------------------------------------------------
-def _run_terminal_hook(on_terminal: Optional[Callable[[], None]]) -> None:
-    """Best-effort resource cleanup on the ladder's terminal rung."""
-    if on_terminal is None:
-        return
-    try:
-        on_terminal()
-    except Exception:
-        pass
-
-
 def run_with_recovery(
     tasks: Sequence,
     policy: RetryPolicy,
@@ -340,7 +330,6 @@ def run_with_recovery(
     collect: Callable,
     serial_run: Optional[Callable] = None,
     on_rebuild: Optional[Callable[[], None]] = None,
-    on_terminal: Optional[Callable[[], None]] = None,
     shard_of: Callable = lambda task: task.shard,
     sleep: Callable[[float], None] = time.sleep,
     clock: Callable[[], float] = time.perf_counter,
@@ -360,11 +349,6 @@ def run_with_recovery(
     budget left go back in the pending set; exhausted shards run
     ``serial_run(task)`` immediately (attempt number
     ``policy.max_retries + 1``) or raise :class:`FleetDispatchError`.
-    ``on_terminal()``, when supplied, runs immediately before any
-    :class:`FleetDispatchError` leaves the engine — the hook the fleet
-    layer uses to release shared-memory transport arenas on the one
-    rung where no re-execution will ever need their contents.  Cleanup
-    failures are swallowed so they cannot mask the dispatch error.
 
     Returns ``(outputs, healths)`` both aligned to ``tasks`` order —
     the engine never reorders work, so the caller's merge arithmetic is
@@ -409,7 +393,6 @@ def run_with_recovery(
             on_rebuild()
         for i in exhausted:
             if serial_run is None or not policy.serial_fallback:
-                _run_terminal_hook(on_terminal)
                 raise FleetDispatchError(
                     f"shard {shard_of(tasks[i])} failed after "
                     f"{builders[i].attempts} attempt(s): "
@@ -421,7 +404,6 @@ def run_with_recovery(
             except Exception as exc:
                 builders[i].attempts += 1
                 builders[i].wall_s += clock() - started
-                _run_terminal_hook(on_terminal)
                 raise FleetDispatchError(
                     f"shard {shard_of(tasks[i])} failed its serial "
                     f"fallback after faults {builders[i].faults}: {exc!r}"

@@ -52,7 +52,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..signals.waveform import Waveform
 from ..txline.line import TransmissionLine
 from .auth import Authenticator
 from .divot import Action, DivotEndpoint, EndpointState, MonitorResult
@@ -67,26 +66,12 @@ from .faults import (
 )
 from .fingerprint import Fingerprint
 from .identify import FingerprintStore, SketchSpec, UpdatePolicy
-from .itdr import IIPCapture, ITDR, ITDRConfig
+from .itdr import ITDR, ITDRConfig
 from .resources import ResourceModel, ResourceReport
 from .runtime import MonitorEvent, MonitorRuntime, RoundRobinCadence, Telemetry
 from .solvecache import SolveCache, process_solve_cache
 from .tamper import TamperDetector
-from .transport import (
-    TRANSPORT_COUNTER_KEYS,
-    ArrayRef,
-    ShardArena,
-    ShmPayload,
-    content_digest,
-    materialize,
-    pack_into,
-    pack_seed,
-    read_array,
-    shared_memory_available,
-    unpack_seed,
-    worker_transport_stats,
-    writable_array,
-)
+from .transport import pack_into, unpack
 
 __all__ = [
     "FleetIdentifyOutcome",
@@ -323,34 +308,14 @@ class FleetIdentifyOutcome:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class _BusWork:
-    """Everything one bus visit needs, shipped to its shard.
-
-    Two transports fill it differently.  The pickle reference backend
-    populates the plain fields (``line``, ``fingerprint``,
-    ``modifiers``) and the whole visit serializes by value.  The
-    shared-memory transport nulls those and ships O(1)
-    :class:`~repro.core.transport.ShmPayload` descriptors instead —
-    the workers resolve them through the digest-keyed materialization
-    cache — plus a reserved ``result_ref`` slot the worker fills with
-    the visit's waveform samples so the big array never rides the
-    return pickle either.  Seeds and indices always travel by value:
-    they are the only per-visit content that changes between scans of
-    an unchanged fleet — and even the seed travels as a compact state
-    tuple (:func:`~repro.core.transport.pack_seed`) on the shm path,
-    because a pickled ``SeedSequence`` would outweigh the descriptors.
-    """
+    """Everything one bus visit needs, shipped by value to its shard."""
 
     index: int
     name: str
-    #: ``SeedSequence`` on the pickle path; ``pack_seed`` tuple on shm.
-    seed: object
-    line: Optional[TransmissionLine] = None
+    seed: np.random.SeedSequence
+    line: TransmissionLine
     fingerprint: Optional[Fingerprint] = None
     modifiers: Tuple = ()
-    line_ref: Optional[ShmPayload] = None
-    fingerprint_ref: Optional[ShmPayload] = None
-    modifiers_ref: Optional[ShmPayload] = None
-    result_ref: Optional[ArrayRef] = None
 
 
 @dataclass(frozen=True)
@@ -374,71 +339,6 @@ class _ShardTask:
     #: Deterministic failure schedule (testing harness); None in
     #: production.
     fault_injector: Optional[FaultInjector] = None
-
-
-@dataclass(frozen=True)
-class _EnrollSlot:
-    """A fingerprint coming home by reference: samples in the arena.
-
-    Everything except the sample array (already canonical, already
-    float64) rides here by value; the parent reconstructs the
-    :class:`Fingerprint` with :func:`~repro.core.transport.read_array`.
-    Reconstruction is bitwise because canonicalization is idempotent.
-    """
-
-    ref: ArrayRef
-    name: str
-    dt: float
-    n_captures: int
-    enrolled_temperature_c: float
-
-
-@dataclass(frozen=True)
-class _CaptureSlot:
-    """An averaged identify capture coming home by reference."""
-
-    ref: ArrayRef
-    dt: float
-    t0: float
-    line_name: str
-    n_triggers: int
-    duration_s: float
-
-
-def _work_seed(work: _BusWork) -> np.random.SeedSequence:
-    if isinstance(work.seed, tuple):
-        return unpack_seed(work.seed)
-    return work.seed
-
-
-def _work_line(work: _BusWork) -> TransmissionLine:
-    if work.line_ref is not None:
-        return materialize(work.line_ref)
-    return work.line
-
-
-def _work_fingerprint(work: _BusWork) -> Fingerprint:
-    if work.fingerprint_ref is not None:
-        return materialize(work.fingerprint_ref)
-    return work.fingerprint
-
-
-def _work_modifiers(work: _BusWork) -> Tuple:
-    if work.modifiers_ref is not None:
-        return materialize(work.modifiers_ref)
-    return work.modifiers
-
-
-def _fill_result(ref: ArrayRef, samples: np.ndarray) -> None:
-    """Write one visit's samples into its reserved arena slot."""
-    view = writable_array(ref)
-    if view.shape != samples.shape:
-        raise ValueError(
-            f"reserved result slot {view.shape} does not match the "
-            f"measured record {samples.shape}"
-        )
-    view[:] = samples
-    del view
 
 
 #: Per-process measurement state, keyed by the iTDR configuration digest.
@@ -466,29 +366,20 @@ def _run_shard(task: _ShardTask) -> tuple:
     own stream, then enroll or monitor.  Nothing here may depend on
     shard identity except the provenance label on the records.
 
-    Under the shared-memory transport each visit's payloads resolve
-    through the materialization cache and the measured samples land in
-    the visit's reserved arena slot instead of the return pickle; the
-    measurement itself is transport-blind, so outcomes stay
-    byte-identical across transports.
-
-    Returns ``(items, cache_delta, kernel_delta, transport_delta)``: the
-    ``(index, payload)`` pairs plus the solve-cache hit/miss/eviction,
-    capture-kernel, and transport-materialization counters this shard
-    contributed — provenance the parent folds into telemetry, never
-    into outcomes.
+    Returns ``(items, cache_delta, kernel_delta)``: the ``(index,
+    payload)`` pairs plus the solve-cache hit/miss/eviction and
+    capture-kernel counters this shard contributed — provenance the
+    parent folds into telemetry, never into outcomes.
     """
     if task.fault_injector is not None:
         task.fault_injector.apply(task.mode, task.shard, task.attempt)
     solve_stats_before = process_solve_cache().stats()
-    transport_before = worker_transport_stats().snapshot()
     itdr = _worker_itdr(task.config_key, task.config)
     kernel_before = itdr.kernel_stats.snapshot()
     out = []
     for work in task.work:
-        line = _work_line(work)
-        modifiers = _work_modifiers(work)
-        itdr.rng = np.random.default_rng(_work_seed(work))
+        line = work.line
+        itdr.rng = np.random.default_rng(work.seed)
         endpoint = DivotEndpoint(
             name=f"fleet/{work.name}",
             itdr=itdr,
@@ -500,24 +391,7 @@ def _run_shard(task: _ShardTask) -> tuple:
             fingerprint = endpoint.calibrate(
                 line, n_captures=task.n_captures, engine=task.engine
             )
-            if work.result_ref is not None:
-                _fill_result(work.result_ref, fingerprint.samples)
-                out.append(
-                    (
-                        work.index,
-                        _EnrollSlot(
-                            ref=work.result_ref,
-                            name=fingerprint.name,
-                            dt=fingerprint.dt,
-                            n_captures=fingerprint.n_captures,
-                            enrolled_temperature_c=(
-                                fingerprint.enrolled_temperature_c
-                            ),
-                        ),
-                    )
-                )
-            else:
-                out.append((work.index, fingerprint))
+            out.append((work.index, fingerprint))
         elif task.mode == "identify":
             # The 1:N store lives in the parent (shipping 10^4+ templates
             # to every worker would dwarf the capture cost); a worker's
@@ -526,41 +400,22 @@ def _run_shard(task: _ShardTask) -> tuple:
             capture = itdr.capture_averaged(
                 line,
                 task.captures_per_check,
-                modifiers=modifiers,
+                modifiers=work.modifiers,
                 interference=task.interference,
                 engine=task.engine,
             )
-            if work.result_ref is not None:
-                _fill_result(work.result_ref, capture.waveform.samples)
-                out.append(
-                    (
-                        work.index,
-                        (
-                            task.shard,
-                            _CaptureSlot(
-                                ref=work.result_ref,
-                                dt=capture.waveform.dt,
-                                t0=capture.waveform.t0,
-                                line_name=capture.line_name,
-                                n_triggers=capture.n_triggers,
-                                duration_s=capture.duration_s,
-                            ),
-                        ),
-                    )
-                )
-            else:
-                out.append((work.index, (task.shard, capture)))
+            out.append((work.index, (task.shard, capture)))
         else:
             # The fleet's reference for this bus is authoritative even if
             # it was enrolled (or swapped in) under another line's name.
-            reference = _work_fingerprint(work)
+            reference = work.fingerprint
             if reference.name != line.name:
                 reference = replace(reference, name=line.name)
             endpoint.rom.store(reference)
             endpoint.state = EndpointState.MONITORING
             result = endpoint.monitor_capture(
                 line,
-                modifiers=modifiers,
+                modifiers=work.modifiers,
                 interference=task.interference,
                 engine=task.engine,
             )
@@ -577,12 +432,12 @@ def _run_shard(task: _ShardTask) -> tuple:
         key: solve_stats_after[key] - solve_stats_before[key]
         for key in SolveCache.COUNTER_KEYS
     }
-    return (
-        out,
-        cache_delta,
-        itdr.kernel_stats.delta(kernel_before),
-        worker_transport_stats().delta(transport_before),
-    )
+    return out, cache_delta, itdr.kernel_stats.delta(kernel_before)
+
+
+def _run_packed_shard(payload: bytes) -> tuple:
+    """Pool entry point: rebuild a :func:`pack_into` task and run it."""
+    return _run_shard(unpack(payload))
 
 
 def merge_shard_outputs(shard_outputs: Sequence[Sequence[tuple]]) -> list:
@@ -641,17 +496,8 @@ class FleetScanExecutor:
         captures_per_check: Averaging depth per bus visit.
         shards: Number of fleet partitions (1 = no parallelism).
         backend: ``"auto"`` (process pool when ``shards > 1``),
-            ``"serial"``, or ``"process"``.
-        transport: How shard payloads cross the process boundary.
-            ``"auto"`` picks ``"shm"`` (descriptors into parent-owned
-            shared-memory arenas, zero-copy numpy payloads) whenever the
-            resolved backend is a process pool and the platform supports
-            POSIX shared memory, else the ``"pickle"`` reference path
-            (everything by value).  Both may be forced explicitly;
-            forcing ``"shm"`` on a platform without shared memory
-            raises.  Outcomes are byte-identical across transports —
-            the transport changes how bytes move, never which values
-            arrive.
+            ``"serial"``, or ``"process"``.  The process backend ships
+            each shard task as one pickle (:mod:`repro.core.transport`).
         seed: Root of the ``SeedSequence`` tree every stochastic draw in
             the fleet descends from.
         engine: Physics engine threaded through every capture.
@@ -671,7 +517,6 @@ class FleetScanExecutor:
         captures_per_check: int = 1,
         shards: int = 1,
         backend: str = "auto",
-        transport: str = "auto",
         seed: int = 0,
         engine: str = "born",
         retry_policy: Optional[RetryPolicy] = None,
@@ -682,8 +527,6 @@ class FleetScanExecutor:
             raise ValueError("shards must be >= 1")
         if backend not in ("auto", "serial", "process"):
             raise ValueError("backend must be 'auto', 'serial' or 'process'")
-        if transport not in ("auto", "pickle", "shm"):
-            raise ValueError("transport must be 'auto', 'pickle' or 'shm'")
         if captures_per_check < 1:
             raise ValueError("captures_per_check must be >= 1")
         self.authenticator = authenticator
@@ -694,7 +537,6 @@ class FleetScanExecutor:
         self.captures_per_check = captures_per_check
         self.shards = shards
         self.backend = backend
-        self.transport = transport
         self.seed = seed
         self.engine = engine
         self.retry_policy = (
@@ -719,19 +561,6 @@ class FleetScanExecutor:
         self._runtime = MonitorRuntime(telemetry=self.telemetry)
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_rebuilds = 0
-        #: One counter ledger shared by both arenas, folded into
-        #: telemetry as deltas so repeated snapshots never double-count.
-        self._transport_counters = {
-            key: 0 for key in TRANSPORT_COUNTER_KEYS
-        }
-        self._transport_folded = dict(self._transport_counters)
-        #: Content-addressed payloads that persist across scans (lines,
-        #: fingerprints) live in the static arena; per-scan payloads
-        #: (modifier stacks) and reserved result slots live in the
-        #: scratch arena, rewound before every shm dispatch.
-        self._static_arena: Optional[ShardArena] = None
-        self._scratch_arena: Optional[ShardArena] = None
-        self._payload_cache: Dict[str, ShmPayload] = {}
 
     # -- fleet membership ----------------------------------------------
     def register(
@@ -784,139 +613,6 @@ class FleetScanExecutor:
             return self.backend
         return "process" if self.shards > 1 else "serial"
 
-    def resolved_transport(self) -> str:
-        """The shard transport a scan will actually use.
-
-        ``"auto"`` only picks shared memory when there is a process
-        boundary to amortise it across: the serial backend resolves to
-        the pickle reference path (which serializes nothing — tasks are
-        plain in-process objects), as do platforms without usable
-        shared memory.  An explicit ``"shm"`` is honoured on any
-        backend (parent-side descriptor resolution works in-process)
-        but raises where shared memory cannot exist at all, rather than
-        silently degrading a caller who asked for the zero-copy path.
-        """
-        if self.transport == "pickle":
-            return "pickle"
-        if self.transport == "shm":
-            if not shared_memory_available():
-                raise RuntimeError(
-                    "transport='shm' requested but POSIX shared memory "
-                    "is unavailable on this platform"
-                )
-            return "shm"
-        if self.resolved_backend() == "process" and shared_memory_available():
-            return "shm"
-        return "pickle"
-
-    # -- shared-memory transport plumbing ------------------------------
-    def _arenas(self) -> Tuple[ShardArena, ShardArena]:
-        if self._static_arena is None:
-            self._static_arena = ShardArena(
-                counters=self._transport_counters
-            )
-            self._scratch_arena = ShardArena(
-                counters=self._transport_counters
-            )
-        return self._static_arena, self._scratch_arena
-
-    def _pack_static(self, obj) -> ShmPayload:
-        """Pack a long-lived payload, reusing it while its content holds.
-
-        Lines and fingerprints are content-addressed (profile hash,
-        sample digest), so an unchanged object re-ships as the *same*
-        payload object — O(1) on the parent, a guaranteed digest-cache
-        hit in every worker that has seen it.  Any content change (a
-        swapped module, a re-enrollment) produces a new marker and a
-        fresh pack; the superseded payload's arena bytes are retired
-        only at :meth:`close` (content churn is rare and bounded).
-        """
-        static, _ = self._arenas()
-        marker = content_digest(obj)
-        if marker is None:
-            return pack_into(static, obj)
-        payload = self._payload_cache.get(marker)
-        if payload is None:
-            payload = pack_into(static, obj, digest=marker)
-            self._payload_cache[marker] = payload
-        else:
-            self._transport_counters["payloads_reused"] += 1
-        return payload
-
-    def _prepare_transport(
-        self, mode: str, work: Sequence[_BusWork]
-    ) -> List[_BusWork]:
-        """Swap bulk payloads for arena descriptors when shm is on.
-
-        The scratch arena is rewound here — at dispatch start, when no
-        descriptor from the previous scan can still be live — so
-        per-scan allocations recycle the same segments instead of
-        growing without bound.  Result slots are reserved parent-side
-        from the record length the configuration dictates, so the
-        worker's only freedom is to fill them (a shape mismatch is an
-        error, not a resize).
-        """
-        if self.resolved_transport() != "shm":
-            return list(work)
-        _, scratch = self._arenas()
-        scratch.reset()
-        prepared = []
-        for item in work:
-            result_ref = None
-            if mode in ("enroll", "identify"):
-                result_ref = scratch.reserve(
-                    (self.itdr.record_length(item.line),), "float64"
-                )
-            prepared.append(
-                replace(
-                    item,
-                    seed=pack_seed(item.seed),
-                    line=None,
-                    fingerprint=None,
-                    modifiers=(),
-                    line_ref=self._pack_static(item.line),
-                    fingerprint_ref=(
-                        None
-                        if item.fingerprint is None
-                        else self._pack_static(item.fingerprint)
-                    ),
-                    modifiers_ref=(
-                        None
-                        if not item.modifiers
-                        else pack_into(scratch, item.modifiers)
-                    ),
-                    result_ref=result_ref,
-                )
-            )
-        return prepared
-
-    def _fold_transport(self) -> None:
-        """Fold counter movement since the last fold into telemetry."""
-        delta = {
-            key: self._transport_counters[key] - self._transport_folded[key]
-            for key in self._transport_counters
-        }
-        if any(delta.values()):
-            self.telemetry.record_transport(delta)
-        self._transport_folded = dict(self._transport_counters)
-
-    def _release_arenas(self) -> None:
-        """Unlink every transport segment (idempotent).
-
-        Called from :meth:`close` and from the terminal rung of the
-        recovery ladder — the two points where no retry, fallback, or
-        parent-side read can still need the arena contents.  Arenas
-        are rebuilt lazily, so a long-lived executor survives a
-        terminal dispatch failure with nothing leaked.
-        """
-        for arena in (self._static_arena, self._scratch_arena):
-            if arena is not None:
-                arena.close()
-        self._static_arena = None
-        self._scratch_arena = None
-        self._payload_cache = {}
-        self._fold_transport()
-
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
             self._pool = ProcessPoolExecutor(
@@ -938,17 +634,14 @@ class FleetScanExecutor:
         self._pool_rebuilds += 1
 
     def close(self) -> None:
-        """Shut the worker pool down and unlink the arenas (idempotent).
+        """Shut the worker pool down (idempotent).
 
         Pending shard submissions are cancelled so a hung scan cannot
-        block interpreter exit behind a queue of undone work; every
-        shared-memory segment the transport created is unlinked, so a
-        closed executor leaves nothing in ``/dev/shm``.
+        block interpreter exit behind a queue of undone work.
         """
         if self._pool is not None:
             self._pool.shutdown(cancel_futures=True)
             self._pool = None
-        self._release_arenas()
 
     def __enter__(self) -> "FleetScanExecutor":
         return self
@@ -994,7 +687,6 @@ class FleetScanExecutor:
             start=start,
             collect=collect,
             serial_run=self._serial_fallback_run,
-            on_terminal=self._release_arenas,
         )
 
     def _dispatch_process(self, tasks: Sequence[_ShardTask]):
@@ -1014,7 +706,8 @@ class FleetScanExecutor:
         def start(task, attempt):
             try:
                 future = self._ensure_pool().submit(
-                    _run_shard, replace(task, attempt=attempt)
+                    _run_packed_shard,
+                    pack_into(replace(task, attempt=attempt), self.telemetry),
                 )
             except BrokenProcessPool as exc:
                 # The pool broke between submissions of this round; the
@@ -1059,7 +752,6 @@ class FleetScanExecutor:
             collect=collect,
             serial_run=self._serial_fallback_run,
             on_rebuild=self._rebuild_pool,
-            on_terminal=self._release_arenas,
         )
 
     def _dispatch(
@@ -1072,12 +764,10 @@ class FleetScanExecutor:
             outputs, healths = self._dispatch_process(tasks)
         self._record_health(healths, self._pool_rebuilds - rebuilds_before)
         shard_items = []
-        for items, cache_delta, kernel_delta, transport_delta in outputs:
+        for items, cache_delta, kernel_delta in outputs:
             shard_items.append(items)
             self.telemetry.record_cache(cache_delta)
             self.telemetry.record_kernel(kernel_delta)
-            self.telemetry.record_transport(transport_delta)
-        self._fold_transport()
         return merge_shard_outputs(shard_items), healths
 
     def _record_health(
@@ -1118,7 +808,6 @@ class FleetScanExecutor:
         n_captures: int = 0,
         interference=None,
     ) -> List[_ShardTask]:
-        work = self._prepare_transport(mode, work)
         return [
             _ShardTask(
                 shard=shard,
@@ -1189,44 +878,8 @@ class FleetScanExecutor:
         fingerprints, _ = self._dispatch(
             self._make_tasks("enroll", work, n_captures=n_captures)
         )
-        for name, fingerprint in zip(self._buses, fingerprints):
-            self._fingerprints[name] = self._resolve_fingerprint(
-                fingerprint
-            )
+        self._fingerprints.update(zip(self._buses, fingerprints))
         return dict(self._fingerprints)
-
-    @staticmethod
-    def _resolve_fingerprint(payload) -> Fingerprint:
-        """Rebuild a by-reference enrollment from its arena slot.
-
-        The slot holds the worker's already-canonical float64 samples
-        bit-for-bit, and canonicalization is idempotent at the bit
-        level, so the reconstructed fingerprint is bitwise identical to
-        the one the pickle transport would have shipped whole.
-        """
-        if not isinstance(payload, _EnrollSlot):
-            return payload
-        return Fingerprint(
-            name=payload.name,
-            samples=read_array(payload.ref),
-            dt=payload.dt,
-            n_captures=payload.n_captures,
-            enrolled_temperature_c=payload.enrolled_temperature_c,
-        )
-
-    @staticmethod
-    def _resolve_capture(payload) -> IIPCapture:
-        """Rebuild a by-reference identify capture from its arena slot."""
-        if not isinstance(payload, _CaptureSlot):
-            return payload
-        return IIPCapture(
-            waveform=Waveform(
-                read_array(payload.ref), payload.dt, payload.t0
-            ),
-            line_name=payload.line_name,
-            n_triggers=payload.n_triggers,
-            duration_s=payload.duration_s,
-        )
 
     def build_store(
         self,
@@ -1302,9 +955,7 @@ class FleetScanExecutor:
         for (name, _), (index, (shard, capture)) in zip(
             self._buses.items(), enumerate(payloads)
         ):
-            result = store.identify(
-                self._resolve_capture(capture), method=method
-            )
+            result = store.identify(capture, method=method)
             records.append(
                 FleetIdentifyRecord(
                     index=index,

@@ -192,7 +192,6 @@ class SharedITDRManager:
         seed: int = 0,
         shards: int = 1,
         backend: str = "auto",
-        transport: str = "auto",
         retry_policy=None,
     ) -> FleetScanExecutor:
         """A sharded :class:`FleetScanExecutor` over this manager's fleet.
@@ -211,7 +210,6 @@ class SharedITDRManager:
             captures_per_check=self.captures_per_check,
             shards=shards,
             backend=backend,
-            transport=transport,
             seed=seed,
             retry_policy=retry_policy,
         )

@@ -65,13 +65,10 @@ class Telemetry:
         the per-shard fused/grid/dense-render counter deltas (see
         :class:`~repro.core.capturekernel.CaptureKernelStats`), and
         the ``transport`` section accumulates the shard-transport
-        movement ledger (segments created/reused/unlinked, bytes moved
-        through pickle streams vs. bytes referenced through
-        shared-memory descriptors, payloads packed/reused, and
-        worker-side materializations vs. digest-cache hits — see
-        :mod:`repro.core.transport`); all-zero with an empty wall-time
-        map for single-datapath workloads, so the snapshot shape stays
-        identical across every workload;
+        ledger (shard tasks pickled for the process pool and their
+        bytes — see :mod:`repro.core.transport`); all-zero with an
+        empty wall-time map for single-datapath workloads, so the
+        snapshot shape stays identical across every workload;
     ``detection``
         ``onset_s``, ``first_alert_s``, overall ``latency_s`` and
         ``per_side`` latencies for the given attack onset;
@@ -151,13 +148,10 @@ class Telemetry:
             self._capture_kernel[key] += int(counters.get(key, 0))
 
     def record_transport(self, counters: Dict[str, int]) -> None:
-        """Fold one dispatch's shard-transport counter movement in.
+        """Fold shard-transport counter movement in.
 
-        The parent-owned arenas count segment lifecycle and byte
-        movement directly; worker materialization counters arrive as
-        per-shard deltas like :meth:`record_cache`.  Both land here so
-        the ``health.transport`` ledger in :meth:`snapshot` reflects the
-        whole transport regardless of backend.
+        :func:`~repro.core.transport.pack_into` reports every shard task
+        it pickles for the process pool here.
         """
         for key in self._transport:
             self._transport[key] += int(counters.get(key, 0))

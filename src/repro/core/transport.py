@@ -1,602 +1,50 @@
-"""Zero-copy shared-memory shard transport for fleet and campaign dispatch.
+"""The fleet's shard transport: one pickle per shard task.
 
-Every fleet dispatch used to pay ``pickle.dumps``/``loads`` on both sides
-of the process boundary for every shard: full ``TransmissionLine``
-profiles and modifier stacks outbound, enrollment fingerprints and
-averaged-capture waveforms inbound.  The paper's scaling argument
-(sections I and V) is that one shared iTDR datapath protects many buses
-by moving *descriptors* around a stationary sample stream; this module
-applies the same discipline to the process boundary:
+On the process backend every shard task crosses the process boundary by
+value.  The executor pickles it once with :func:`pack_into` and submits
+the bytes, so the pool itself only copies a ``bytes`` object; the worker
+rebuilds the task with :func:`unpack`.  Seeds travel as plain
+``SeedSequence`` objects, and results (fleet records, enrolled
+fingerprints, identify captures) come home by value in the pool's return
+pickle.  The serial backend packs nothing: its tasks never leave the
+process.
 
-* a parent-owned :class:`ShardArena` — one or more
-  ``multiprocessing.shared_memory`` segments managed by a bump
-  allocator, recycled across scans (``reset``) and unlinked
-  deterministically on ``close``;
-* :class:`BufferRef`/:class:`ArrayRef` descriptors — (segment name,
-  offset, length/dtype/shape) tuples that pickle in O(1) regardless of
-  how many megabytes they describe;
-* protocol-5 **out-of-band** packing (:func:`pack_into`): every numpy
-  buffer is detached via ``PickleBuffer`` and lands in the arena as a
-  raw copy instead of traversing the serializer, and the residual
-  pickle stream is placed in the arena too — what the shard task
-  carries is a payload of pure descriptors.  Note the transport layer
-  is the *only* place allowed to move off protocol 4; every
-  ``canonical_bytes()`` in the package stays at protocol 4 because
-  those bytes are pinned by regression tests;
-* a worker-side content-digest cache (:func:`materialize`): payloads
-  carry a digest of their exact content, and a worker that has already
-  materialized that digest skips both the segment read and the
-  ``pickle.loads`` — re-scanning an unchanged fleet ships only seeds,
-  indices, and O(1) descriptors.
-
-The non-negotiable invariant, pinned by
-``tests/property/test_transport_equivalence.py``: the transport may
-change *how* bytes cross the boundary, never *which* values arrive —
-scan, identify, and campaign outcomes are byte-identical across
-``transport="pickle"`` and ``transport="shm"`` and across shard counts.
-Float arrays traverse the arena as raw bitwise copies, so this holds by
-construction; the property suite keeps it held.
-
-Lifetime rules (the leak contract the ``/dev/shm`` fixture in
-``tests/conftest.py`` enforces):
-
-* segments are created only by the parent (workers never own shared
-  memory, so a crashed or OOM-killed worker cannot orphan a segment);
-* worker-side attaches are unregistered from the multiprocessing
-  ``resource_tracker`` (Python < 3.13 would otherwise *unlink* a
-  still-owned segment when any attaching process exits);
-* ``ShardArena.close()`` unlinks every segment and is idempotent; the
-  fleet executor calls it from ``close()`` and from the terminal rung of
-  the PR-4 recovery ladder.
+Pickling is value-exact for every payload the fleet ships (float arrays
+round-trip bitwise), so the transport can never change *which* values
+arrive — outcomes stay byte-identical across backends and shard counts.
 """
 
 from __future__ import annotations
 
-import hashlib
-import itertools
-import os
 import pickle
-from collections import OrderedDict
-from dataclasses import dataclass, field
-from multiprocessing import resource_tracker, shared_memory
-from typing import Dict, List, Optional, Tuple
 
-import numpy as np
+__all__ = ["TRANSPORT_COUNTER_KEYS", "pack_into", "unpack"]
 
-__all__ = [
-    "ArrayRef",
-    "BufferRef",
-    "ShardArena",
-    "ShmPayload",
-    "TRANSPORT_COUNTER_KEYS",
-    "TransportStats",
-    "content_digest",
-    "materialize",
-    "pack_into",
-    "pack_seed",
-    "read_array",
-    "unpack_seed",
-    "shared_memory_available",
-    "unpack",
-    "worker_transport_stats",
-    "writable_array",
-]
-
-#: Prefix of every segment this package creates; the leak fixture and
-#: the TESTING.md diagnosis recipe both key on it.
+#: The ``Telemetry.snapshot()["health"]["transport"]`` ledger.  Only
+#: ``bytes_moved`` and ``payloads_packed`` move.  The other four keys, and
+#: :data:`SEGMENT_PREFIX`, belong to a removed shared-memory path; they
+#: exist (the keys always 0) only because ``perfbench``'s traced fleet
+#: run reads them.
+TRANSPORT_COUNTER_KEYS = (
+    "bytes_moved",
+    "payloads_packed",
+    "bytes_referenced",
+    "payloads_reused",
+    "worker_cache_hits",
+    "segments_created",
+)
 SEGMENT_PREFIX = "repro-"
 
-#: Transport pickling happens at protocol 5 so numpy buffers detach
-#: out-of-band.  ``canonical_bytes()`` everywhere stays at protocol 4 —
-#: those bytes are pinned by regression tests and MUST NOT follow.
-PICKLE_PROTOCOL = 5
 
-#: Buffer placements are aligned so worker-side views land on cache-line
-#: boundaries (and any dtype's alignment requirement is met).
-_ALIGNMENT = 64
-
-#: Smallest segment the allocator creates; growth doubles from here.
-_MIN_SEGMENT_BYTES = 1 << 16
-
-#: Counters every :class:`ShardArena`/executor surfaces through
-#: ``Telemetry.snapshot()["health"]["transport"]`` (zeroed when unused).
-TRANSPORT_COUNTER_KEYS = (
-    "segments_created",
-    "segments_reused",
-    "segments_unlinked",
-    "bytes_moved",
-    "bytes_referenced",
-    "payloads_packed",
-    "payloads_reused",
-    "worker_materializations",
-    "worker_cache_hits",
-)
-
-_segment_counter = itertools.count()
-_availability: Optional[bool] = None
-
-
-def _new_segment_name() -> str:
-    """A process-unique ``repro-`` segment name (pid + running counter)."""
-    return f"{SEGMENT_PREFIX}{os.getpid()}-{next(_segment_counter)}"
-
-
-def shared_memory_available() -> bool:
-    """Whether this platform can create and map POSIX shared memory.
-
-    Probed once per process by creating and immediately unlinking a tiny
-    segment; platforms without ``/dev/shm`` (or with it mounted
-    unwritable) report False and the fleet executor's ``transport="auto"``
-    falls back to the pickle reference path.
-    """
-    global _availability
-    if _availability is None:
-        try:
-            seg = shared_memory.SharedMemory(
-                create=True, size=16, name=_new_segment_name()
-            )
-        except (OSError, ValueError):
-            _availability = False
-        else:
-            seg.close()
-            seg.unlink()
-            _availability = True
-    return _availability
-
-
-# ----------------------------------------------------------------------
-# descriptors: what actually crosses the process boundary
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class BufferRef:
-    """One raw byte range inside a named shared-memory segment.
-
-    The O(1) stand-in for an out-of-band pickle buffer: pickling a
-    ``BufferRef`` costs the same whether it describes 80 bytes or 80
-    megabytes.
-    """
-
-    segment: str
-    offset: int
-    length: int
-
-
-@dataclass(frozen=True)
-class ArrayRef:
-    """A typed ndarray region inside a named shared-memory segment.
-
-    Used for *inbound* results: the parent reserves the region
-    (:meth:`ShardArena.reserve`), the worker fills it through
-    :func:`writable_array`, and the descriptor — not the samples — rides
-    the return pickle home.
-    """
-
-    segment: str
-    dtype: str
-    shape: Tuple[int, ...]
-    offset: int
-
-    @property
-    def nbytes(self) -> int:
-        """Byte length of the described array."""
-        count = 1
-        for dim in self.shape:
-            count *= dim
-        return count * np.dtype(self.dtype).itemsize
-
-
-@dataclass(frozen=True)
-class ShmPayload:
-    """One packed object: descriptors for its stream and buffer bytes.
-
-    Both the protocol-5 pickle stream and the detached out-of-band
-    buffers live in the arena — the payload itself is a handful of
-    (segment, offset, length) triples plus a digest string, so its own
-    pickle cost is O(1) in the object it describes.  ``digest``
-    addresses the exact content (stream bytes and raw buffer bytes), so
-    workers can cache the materialized object and skip the read entirely
-    when the same content ships again.
-    """
-
-    stream_ref: BufferRef
-    buffers: Tuple[BufferRef, ...]
-    digest: str
-
-    @property
-    def referenced_bytes(self) -> int:
-        """Out-of-band buffer bytes carried by shared memory."""
-        return sum(ref.length for ref in self.buffers)
-
-
-# ----------------------------------------------------------------------
-# segment attachment (shared by parent and workers)
-# ----------------------------------------------------------------------
-#: Process-local map of attached (or owned) segments by name.  The
-#: parent's arenas register the segments they own here, so the serial
-#: backend and the serial-fallback recovery rung resolve descriptors
-#: without a second mapping; workers populate it lazily on first touch.
-_ATTACHED: Dict[str, shared_memory.SharedMemory] = {}
-
-
-def _attach(name: str) -> shared_memory.SharedMemory:
-    seg = _ATTACHED.get(name)
-    if seg is None:
-        seg = shared_memory.SharedMemory(name=name)
-        # Python < 3.13 registers *attaches* with the resource tracker,
-        # which unlinks the segment when the attaching process exits —
-        # destroying memory the parent still owns.  Attachers must not
-        # track; the owning arena alone decides when to unlink.
-        try:
-            resource_tracker.unregister(seg._name, "shared_memory")
-        except Exception:  # pragma: no cover - tracker internals vary
-            pass
-        _ATTACHED[name] = seg
-    return seg
-
-
-def read_array(ref: ArrayRef) -> np.ndarray:
-    """Copy the described array out of shared memory (parent side).
-
-    Returns an owning copy so the caller can outlive ``reset()``/
-    ``close()`` of the arena; the transient view is dropped before
-    returning so the segment keeps no exported pointers.
-    """
-    seg = _attach(ref.segment)
-    count = 1
-    for dim in ref.shape:
-        count *= dim
-    view = np.frombuffer(
-        seg.buf, dtype=ref.dtype, count=count, offset=ref.offset
+def pack_into(task, telemetry) -> bytes:
+    """Pickle one shard task for the pool, counted in ``telemetry``."""
+    payload = pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL)
+    telemetry.record_transport(
+        {"bytes_moved": len(payload), "payloads_packed": 1}
     )
-    out = view.reshape(ref.shape).copy()
-    del view
-    return out
+    return payload
 
 
-def writable_array(ref: ArrayRef) -> np.ndarray:
-    """A writable view of a reserved result region (worker side).
-
-    The caller must drop the view when done (holding it past the task
-    keeps an exported pointer into the segment).
-    """
-    seg = _attach(ref.segment)
-    count = 1
-    for dim in ref.shape:
-        count *= dim
-    return np.frombuffer(
-        seg.buf, dtype=ref.dtype, count=count, offset=ref.offset
-    ).reshape(ref.shape)
-
-
-# ----------------------------------------------------------------------
-# the parent-owned arena
-# ----------------------------------------------------------------------
-class ShardArena:
-    """A parent-owned pool of shared-memory segments with bump allocation.
-
-    One arena serves one role for one executor (the fleet layer keeps a
-    *static* arena for content-addressed payloads that survive across
-    scans — lines, fingerprints — and a *scratch* arena rewound before
-    every dispatch for per-scan payloads and result reservations).
-
-    Args:
-        initial_bytes: Size hint for the first segment; the allocator
-            rounds every segment up to at least :data:`_MIN_SEGMENT_BYTES`
-            and doubles on growth, so an undersized hint costs extra
-            segments, never a failure.
-        counters: Optional shared counter dict (keys from
-            :data:`TRANSPORT_COUNTER_KEYS`); arenas of one executor share
-            one dict so telemetry sees a single transport ledger.
-    """
-
-    def __init__(
-        self,
-        initial_bytes: int = _MIN_SEGMENT_BYTES,
-        counters: Optional[Dict[str, int]] = None,
-    ) -> None:
-        if initial_bytes < 1:
-            raise ValueError("initial_bytes must be >= 1")
-        self._initial_bytes = initial_bytes
-        self._segments: List[shared_memory.SharedMemory] = []
-        self._used: List[int] = []
-        self._closed = False
-        self.counters = (
-            counters
-            if counters is not None
-            else {key: 0 for key in TRANSPORT_COUNTER_KEYS}
-        )
-
-    # -- allocation -----------------------------------------------------
-    @property
-    def segment_names(self) -> Tuple[str, ...]:
-        """Names of every live segment this arena owns."""
-        return tuple(seg.name for seg in self._segments)
-
-    @property
-    def capacity_bytes(self) -> int:
-        """Total bytes across every owned segment."""
-        return sum(seg.size for seg in self._segments)
-
-    def _allocate(self, nbytes: int) -> Tuple[shared_memory.SharedMemory, int]:
-        """Reserve ``nbytes`` (aligned); grows by doubling segments."""
-        if self._closed:
-            raise RuntimeError("arena is closed")
-        if nbytes < 0:
-            raise ValueError("nbytes must be >= 0")
-        for i, seg in enumerate(self._segments):
-            start = -(-self._used[i] // _ALIGNMENT) * _ALIGNMENT
-            if start + nbytes <= seg.size:
-                self._used[i] = start + nbytes
-                return seg, start
-        size = max(
-            self._initial_bytes,
-            _MIN_SEGMENT_BYTES,
-            2 * self.capacity_bytes,
-            nbytes,
-        )
-        seg = shared_memory.SharedMemory(
-            create=True, size=size, name=_new_segment_name()
-        )
-        _ATTACHED[seg.name] = seg
-        self._segments.append(seg)
-        self._used.append(nbytes)
-        self.counters["segments_created"] += 1
-        return seg, 0
-
-    def place_buffer(self, raw, counted: bool = True) -> BufferRef:
-        """Raw-copy one buffer into the arena; returns its descriptor.
-
-        ``counted=False`` placements (pickle streams) are accounted under
-        ``bytes_moved`` by the caller instead of ``bytes_referenced``, so
-        the two counters split cleanly into object-structure bytes versus
-        bulk array bytes.
-        """
-        data = memoryview(raw).cast("B")
-        seg, offset = self._allocate(data.nbytes)
-        seg.buf[offset:offset + data.nbytes] = data
-        if counted:
-            self.counters["bytes_referenced"] += data.nbytes
-        return BufferRef(
-            segment=seg.name, offset=offset, length=data.nbytes
-        )
-
-    def reserve(self, shape: Tuple[int, ...], dtype: str) -> ArrayRef:
-        """Reserve an uninitialised result region for a worker to fill."""
-        ref = ArrayRef(
-            segment="", dtype=str(np.dtype(dtype)), shape=tuple(shape),
-            offset=0,
-        )
-        seg, offset = self._allocate(ref.nbytes)
-        self.counters["bytes_referenced"] += ref.nbytes
-        return ArrayRef(
-            segment=seg.name, dtype=ref.dtype, shape=ref.shape,
-            offset=offset,
-        )
-
-    # -- lifecycle ------------------------------------------------------
-    def reset(self) -> None:
-        """Rewind every segment for the next scan (contents recycled).
-
-        Descriptors issued before a reset are invalidated; the fleet
-        layer only resets between dispatches, when no descriptor from
-        the previous scan is live.
-        """
-        if self._used and any(self._used):
-            self.counters["segments_reused"] += len(self._segments)
-        self._used = [0] * len(self._segments)
-
-    def close(self) -> None:
-        """Unlink every owned segment (idempotent).
-
-        Called on executor close and on the terminal rung of the
-        recovery ladder; after this no descriptor into the arena can
-        resolve anywhere.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        for seg in self._segments:
-            _ATTACHED.pop(seg.name, None)
-            try:
-                seg.close()
-            except BufferError:  # pragma: no cover - stray live view
-                pass
-            seg.unlink()
-            self.counters["segments_unlinked"] += 1
-        self._segments = []
-        self._used = []
-
-    def __enter__(self) -> "ShardArena":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-# ----------------------------------------------------------------------
-# out-of-band packing
-# ----------------------------------------------------------------------
-def pack_into(
-    arena: ShardArena, obj, digest: Optional[str] = None
-) -> ShmPayload:
-    """Pack ``obj`` for the trip out: everything lands in the arena.
-
-    Protocol-5 pickling with a ``buffer_callback`` detaches every numpy
-    buffer from the stream; each lands in the arena as a raw bitwise
-    copy, and the residual stream (object structure, scalars, strings)
-    is placed right behind them — what the task pickle carries is a
-    payload of pure descriptors.  ``digest`` defaults to a hash of the
-    exact content (stream plus buffers), which is what keys the
-    worker-side cache — callers with a cheaper content marker (e.g. a
-    profile hash) may supply their own, as long as it changes whenever
-    the content does.
-    """
-    raw: List[pickle.PickleBuffer] = []
-    stream = pickle.dumps(obj, protocol=PICKLE_PROTOCOL,
-                          buffer_callback=raw.append)
-    buffers = []
-    hasher = None if digest is not None else hashlib.blake2b(digest_size=16)
-    if hasher is not None:
-        hasher.update(stream)
-    for buf in raw:
-        data = buf.raw()
-        if hasher is not None:
-            hasher.update(data)
-        buffers.append(arena.place_buffer(data))
-    stream_ref = arena.place_buffer(stream, counted=False)
-    arena.counters["bytes_moved"] += len(stream)
-    arena.counters["payloads_packed"] += 1
-    return ShmPayload(
-        stream_ref=stream_ref,
-        buffers=tuple(buffers),
-        digest=digest if digest is not None else hasher.hexdigest(),
-    )
-
-
-def unpack(payload: ShmPayload):
-    """Rebuild a packed object with process-local buffer copies.
-
-    The out-of-band buffers are copied to local bytes before
-    ``pickle.loads`` so the result owns its memory and stays valid after
-    the arena is reset or unlinked — the property the digest cache
-    (:func:`materialize`) relies on.  The copy is a raw memcpy: the
-    arrays never traverse the serializer in either direction.
-    """
-    buffers = []
-    for ref in payload.buffers:
-        seg = _attach(ref.segment)
-        buffers.append(bytes(seg.buf[ref.offset:ref.offset + ref.length]))
-    ref = payload.stream_ref
-    seg = _attach(ref.segment)
-    stream = bytes(seg.buf[ref.offset:ref.offset + ref.length])
-    return pickle.loads(stream, buffers=buffers)
-
-
-def pack_seed(seed: np.random.SeedSequence) -> tuple:
-    """Compact tuple encoding of a ``SeedSequence`` for the shm path.
-
-    A pickled ``SeedSequence`` costs ~250 bytes of class metadata per
-    bus — more than everything else a prepared work item ships.  Its
-    generated stream is a pure function of (entropy, spawn_key,
-    pool_size), so shipping that state as a plain tuple and rebuilding
-    worker-side (:func:`unpack_seed`) is bit-exact by construction;
-    ``n_children_spawned`` rides along so even downstream ``spawn()``
-    trees match.
-    """
-    entropy = seed.entropy
-    if isinstance(entropy, (list, np.ndarray)):
-        entropy = tuple(int(word) for word in entropy)
-    return (
-        entropy,
-        tuple(int(key) for key in seed.spawn_key),
-        int(seed.pool_size),
-        int(seed.n_children_spawned),
-    )
-
-
-def unpack_seed(state: tuple) -> np.random.SeedSequence:
-    """Rebuild the exact ``SeedSequence`` a :func:`pack_seed` tuple encodes."""
-    entropy, spawn_key, pool_size, n_children_spawned = state
-    if isinstance(entropy, tuple):
-        entropy = list(entropy)
-    return np.random.SeedSequence(
-        entropy=entropy,
-        spawn_key=spawn_key,
-        pool_size=pool_size,
-        n_children_spawned=n_children_spawned,
-    )
-
-
-def content_digest(obj) -> Optional[str]:
-    """A cheap content marker for parent-side payload reuse, if one exists.
-
-    Objects that are already content-addressed expose it directly:
-    fingerprints via ``digest()``, transmission lines via their resolved
-    electrical profile's ``content_hash()`` (plus the name, which rides
-    on records).  Returns None when no cheap marker exists — the caller
-    then packs unconditionally and the exact packed-bytes digest takes
-    over.
-    """
-    digest = getattr(obj, "digest", None)
-    if callable(digest):
-        # 128 bits of a content hash is ample for a cache key, and the
-        # marker rides every shard task — keep it short.
-        name = getattr(obj, "name", "")
-        return f"{type(obj).__name__}:{name}:{digest()[:32]}"
-    profile = getattr(obj, "full_profile", None)
-    if profile is not None and hasattr(profile, "content_hash"):
-        return (
-            f"{type(obj).__name__}:{getattr(obj, 'name', '')}:"
-            f"{profile.content_hash()}"
-        )
-    return None
-
-
-# ----------------------------------------------------------------------
-# worker-side materialization cache
-# ----------------------------------------------------------------------
-@dataclass
-class TransportStats:
-    """Worker-side transport counters, shipped home as per-shard deltas.
-
-    Same discipline as the solve-cache and capture-kernel counters: the
-    parent cannot read a worker's process state, so each shard returns
-    the movement its visits produced and the dispatch loop folds it into
-    ``Telemetry``.
-    """
-
-    COUNTER_KEYS = ("worker_materializations", "worker_cache_hits")
-
-    worker_materializations: int = 0
-    worker_cache_hits: int = 0
-
-    def snapshot(self) -> Dict[str, int]:
-        return {key: getattr(self, key) for key in self.COUNTER_KEYS}
-
-    def delta(self, before: Dict[str, int]) -> Dict[str, int]:
-        return {
-            key: getattr(self, key) - before.get(key, 0)
-            for key in self.COUNTER_KEYS
-        }
-
-
-@dataclass
-class _MaterializedCache:
-    """Digest-keyed LRU of unpacked payload objects (one per process)."""
-
-    maxsize: int = 256
-    entries: "OrderedDict[str, object]" = field(default_factory=OrderedDict)
-    stats: TransportStats = field(default_factory=TransportStats)
-
-    def get(self, payload: ShmPayload):
-        obj = self.entries.get(payload.digest)
-        if obj is not None:
-            self.entries.move_to_end(payload.digest)
-            self.stats.worker_cache_hits += 1
-            return obj
-        obj = unpack(payload)
-        self.stats.worker_materializations += 1
-        if len(self.entries) >= self.maxsize:
-            self.entries.popitem(last=False)
-        self.entries[payload.digest] = obj
-        return obj
-
-
-_MATERIALIZED = _MaterializedCache()
-
-
-def materialize(payload: ShmPayload):
-    """The worker-side entry point: cached unpack by content digest.
-
-    A worker (or the parent, on the serial backend and the
-    serial-fallback recovery rung) that has already materialized this
-    exact content returns the cached object without touching the
-    segment — which is why re-scanning an unchanged fleet ships only
-    seeds and indices.
-    """
-    return _MATERIALIZED.get(payload)
-
-
-def worker_transport_stats() -> TransportStats:
-    """This process's materialization counters (for shard deltas)."""
-    return _MATERIALIZED.stats
+def unpack(payload: bytes):
+    """Rebuild a task packed by :func:`pack_into` (worker side)."""
+    return pickle.loads(payload)

@@ -33,7 +33,6 @@ def build_protocol_fleet(
     seed: int = 0,
     shards: int = 1,
     backend: str = "auto",
-    transport: str = "auto",
     captures_per_check: Optional[int] = None,
     authenticator: Optional[Authenticator] = None,
     tamper_detector: Optional[TamperDetector] = None,
@@ -48,7 +47,7 @@ def build_protocol_fleet(
         buses_per_protocol: Fleet width per protocol; lines manufacture
             from consecutive seeds starting at ``first_seed`` and are
             named ``<protocol>-<k>``.
-        seed / shards / backend / transport / captures_per_check /
+        seed / shards / backend / captures_per_check /
             retry_policy / fault_injector: Forwarded to the executor.
 
     Decision policies default to the *specs' own* tuning when every
@@ -106,7 +105,6 @@ def build_protocol_fleet(
         captures_per_check=captures_per_check,
         shards=shards,
         backend=backend,
-        transport=transport,
         seed=seed,
         retry_policy=retry_policy,
         fault_injector=fault_injector,

@@ -176,18 +176,19 @@ class TestCampaignOutcome:
     def test_canonical_bytes_exclude_execution_provenance(
         self, small_outcome
     ):
-        rerun = Campaign(
-            "jtag",
-            strategies=[
-                CanonicalScenario(), ProbePlacementSearch(n_positions=2)
-            ],
-            seed=11,
-            n_rounds=3,
-            shards=2,
-            backend="process",
-        ).run()
-        assert rerun.shards != small_outcome.shards
-        assert rerun.canonical_bytes() == small_outcome.canonical_bytes()
+        for shards in (2, 4):
+            rerun = Campaign(
+                "jtag",
+                strategies=[
+                    CanonicalScenario(), ProbePlacementSearch(n_positions=2)
+                ],
+                seed=11,
+                n_rounds=3,
+                shards=shards,
+                backend="process",
+            ).run()
+            assert rerun.shards != small_outcome.shards
+            assert rerun.canonical_bytes() == small_outcome.canonical_bytes()
 
     def test_different_seed_changes_bytes(self, small_outcome):
         other = Campaign(

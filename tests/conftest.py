@@ -4,54 +4,11 @@ Fixtures are seeded so the whole suite is deterministic; expensive objects
 (manufactured lines, enrolled fingerprints) are session-scoped.
 """
 
-import pathlib
-
 import numpy as np
 import pytest
 
 from repro.core.config import prototype_itdr, prototype_line_factory
 from repro.core.fingerprint import Fingerprint
-from repro.core.transport import SEGMENT_PREFIX
-
-#: Test modules whose workloads may create shared-memory transport
-#: segments; each of their tests is bracketed by a ``/dev/shm``
-#: snapshot so a leaked ``repro-`` segment fails the test that made it
-#: (see docs/TESTING.md, "Diagnosing leaked shared-memory segments").
-_SHM_GUARDED_KEYWORDS = (
-    "fleet", "fault", "campaign", "transport", "identify", "protocol",
-)
-
-
-def _repro_segments():
-    root = pathlib.Path("/dev/shm")
-    if not root.is_dir():
-        return set()
-    return {p.name for p in root.iterdir()
-            if p.name.startswith(SEGMENT_PREFIX)}
-
-
-@pytest.fixture(autouse=True)
-def shm_leak_guard(request):
-    """Fail any fleet/campaign-flavoured test that leaks a segment.
-
-    The transport's lifetime contract says every ``repro-`` segment is
-    parent-owned and unlinked by ``ShardArena.close()`` — on executor
-    close, and on the terminal rung of the recovery ladder.  Snapshotting
-    around each test pins the leak to its origin instead of letting it
-    surface as an unrelated failure (or a full ``/dev/shm``) later.
-    """
-    nodeid = request.node.nodeid.lower()
-    if not any(key in nodeid for key in _SHM_GUARDED_KEYWORDS):
-        yield
-        return
-    before = _repro_segments()
-    yield
-    leaked = _repro_segments() - before
-    assert not leaked, (
-        f"test leaked shared-memory segments {sorted(leaked)}; every "
-        "ShardArena must be closed (executor close() or the recovery "
-        "ladder's terminal rung) before the test ends"
-    )
 
 
 @pytest.fixture

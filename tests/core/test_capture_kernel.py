@@ -30,6 +30,7 @@ from repro.core import (
 from repro.core.capturekernel import (
     EXACT_PMF_MAX_TRIALS,
     CaptureKernelStats,
+    FusedCountKernel,
     binomial_cdf_table,
 )
 from repro.core.divot import DivotEndpoint
@@ -120,6 +121,43 @@ class TestCaptureKernelStats:
         stats = CaptureKernelStats()
         snap = stats.snapshot()
         assert set(snap) == set(CaptureKernelStats.COUNTER_KEYS)
+
+
+class TestLevelTables:
+    def test_one_cdf_copy_per_cached_state(self, line):
+        """Each level's CDF table lives only in ``cdf_pad``: at the
+        prototype config (N=394, 6 levels x 4 trials) a cached state
+        holds 94,560 table bytes, where a second per-level copy made
+        it 170,208."""
+        itdr = prototype_itdr(rng=np.random.default_rng(0))
+        itdr.capture(line)
+        (tables,) = itdr._fused._tables.values()
+        assert tables.cdf_pad.shape == (6, 4, 394)
+        held = sum(p.nbytes for p in tables.probs) + tables.cdf_pad.nbytes
+        assert held == 94_560
+
+    def test_mixed_regime_reads_each_level_from_the_padded_tensor(self):
+        """Over-budget levels sample ``rng.binomial``; the rest compare
+        against their ``cdf_pad`` rows, in ascending-level order."""
+        kernel = prototype_itdr()._fused
+        n, c, reps = 64, 3, 25  # trials split 5, 4, 4, 4, 4, 4
+        mixed = FusedCountKernel(
+            kernel.comparator, np.linspace(-0.1, 0.1, 6), reps,
+            lambda q: q, budget=4 * c * n,
+        )
+        v = np.linspace(-0.2, 0.2, n)
+        got = mixed.estimate("k", v, c, np.random.default_rng(5),
+                             CaptureKernelStats())
+        rng = np.random.default_rng(5)
+        counts = np.zeros((c, n), dtype=np.int64)
+        for p, n_j in zip(mixed._tables["k"].probs, (5, 4, 4, 4, 4, 4)):
+            if n_j == 5:
+                counts += rng.binomial(n_j, np.broadcast_to(p, (c, n)))
+            else:
+                cdf = binomial_cdf_table(n_j, p)
+                u = rng.random((c, n))
+                counts += (u[None] > cdf[:, None]).sum(axis=0)
+        assert got.tobytes() == (counts / reps).tobytes()
 
 
 class TestCountOnlyPathsRenderNoDenseGrids:

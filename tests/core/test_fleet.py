@@ -11,9 +11,16 @@ Three pinned guarantees:
     per-shard cells added on top.
 """
 
+import multiprocessing
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import repro
 from repro.attacks import WireTap
 from repro.core import (
     Action,
@@ -292,3 +299,49 @@ class TestFleetSemantics:
             outcome = ex.scan()
             assert len(outcome.records) == 2
             assert {r.shard for r in outcome.records} <= set(range(9))
+
+
+#: A whole process-backend lifecycle in a fresh interpreter, so anything
+#: the pool, its workers or multiprocessing's resource tracker print at
+#: shutdown lands on a stderr the test can read.
+_FORK_LIFECYCLE = """
+import multiprocessing
+multiprocessing.set_start_method("fork")
+from repro.core import (Authenticator, FleetScanExecutor, prototype_itdr,
+                        prototype_itdr_config, prototype_line_factory)
+from repro.protocols.link import default_tamper_detector
+executor = FleetScanExecutor(
+    Authenticator(0.85), default_tamper_detector(prototype_itdr()),
+    itdr_config=prototype_itdr_config(), captures_per_check=2, shards=2,
+    backend="process", seed=5)
+for line in prototype_line_factory().manufacture_batch(32, first_seed=900):
+    executor.register(line)
+executor.enroll(n_captures=2)
+executor.scan()
+executor.close()
+print("closed")
+"""
+
+
+class TestProcessLifecycle:
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="needs the fork start method",
+    )
+    def test_fork_enroll_scan_close_leaves_stderr_clean(self):
+        """Forked workers share the parent's resource tracker; a worker
+        that unregisters the parent's resources makes the tracker print
+        ``KeyError`` tracebacks at close.  A clean lifecycle prints
+        nothing on stderr."""
+        src = pathlib.Path(repro.__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(src), env.get("PYTHONPATH")])
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", _FORK_LIFECYCLE],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "closed"
+        assert "Traceback" not in done.stderr, done.stderr

@@ -207,6 +207,34 @@ class TestSharedTelemetrySurface:
                 key: 0 for key in CaptureKernelStats.COUNTER_KEYS
             }
 
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_transport_ledger_counts_pickled_shard_tasks(
+        self, workloads, backend
+    ):
+        """Only the process backend pickles shard tasks; the serial
+        backend runs them in-process and moves nothing.  Either way the
+        ledger keeps one key shape."""
+        from repro.core.transport import TRANSPORT_COUNTER_KEYS
+
+        with workloads["manager"].fleet(
+            seed=3, shards=2, backend=backend
+        ) as executor:
+            executor.enroll(n_captures=2)
+            executor.scan()
+            cell = executor.telemetry.snapshot()["health"]["transport"]
+        assert set(cell) == set(TRANSPORT_COUNTER_KEYS)
+        if backend == "process":
+            assert cell["bytes_moved"] > 0
+            # One pickle per shard task: two shards, two dispatches.
+            assert cell["payloads_packed"] == 4
+        else:
+            assert cell["bytes_moved"] == 0
+            assert cell["payloads_packed"] == 0
+        assert all(
+            cell[key] == 0 for key in TRANSPORT_COUNTER_KEYS
+            if key not in ("bytes_moved", "payloads_packed")
+        )
+
     def test_detection_latency_reads_identically(self, workloads):
         """A clean run reports the same null detection block everywhere."""
         for name, workload in workloads.items():

@@ -11,7 +11,10 @@ and pins:
 * merged fleet records equal the unsharded reference for every
   partition x schedule combination;
 * health accounting is exact: attempts, faults, and outcome labels
-  match the injected schedule.
+  match the injected schedule;
+* on the real process pool, 2- and 4-shard runs under injected fault
+  schedules enroll, scan and identify byte-identically to one serial
+  shard.
 """
 
 from hypothesis import given, settings
@@ -19,10 +22,19 @@ from hypothesis import strategies as st
 
 import pytest
 
+from repro.core import (
+    Authenticator,
+    FleetScanExecutor,
+    prototype_itdr,
+    prototype_itdr_config,
+    prototype_line_factory,
+)
 from repro.core.divot import Action
 from repro.core.faults import (
     SERIAL_FALLBACK,
     AttemptFailure,
+    FaultInjector,
+    FaultSpec,
     FleetDispatchError,
     RetryPolicy,
     run_with_recovery,
@@ -32,6 +44,7 @@ from repro.core.fleet import (
     merge_shard_outputs,
     partition_fleet,
 )
+from repro.protocols.link import default_tamper_detector
 
 MAX_RETRIES = 2
 
@@ -199,3 +212,69 @@ class TestFaultSchedulesNeverReorder:
                 serial_run=serial_run,
                 sleep=lambda s: None,
             )
+
+
+def run_real_fleet(shards, backend, injector=None):
+    """Enroll, scan and identify four real buses; canonical artefacts."""
+    executor = FleetScanExecutor(
+        Authenticator(0.85),
+        default_tamper_detector(prototype_itdr()),
+        itdr_config=prototype_itdr_config(),
+        captures_per_check=2,
+        shards=shards,
+        backend=backend,
+        seed=23,
+        retry_policy=RetryPolicy(
+            max_retries=MAX_RETRIES, backoff_base_s=0.0,
+            shard_timeout_base_s=60.0,
+        ),
+        fault_injector=injector,
+    )
+    with executor:
+        for line in prototype_line_factory().manufacture_batch(
+            4, first_seed=470
+        ):
+            executor.register(line)
+        fingerprints = executor.enroll(n_captures=2)
+        scan = executor.scan()
+        identify = executor.identify_scan()
+    return (
+        b"".join(fp.samples.tobytes() for fp in fingerprints.values()),
+        scan,
+        identify,
+    )
+
+
+@pytest.fixture(scope="module")
+def serial_reference():
+    return run_real_fleet(1, "serial")
+
+
+class TestRealPoolSchedules:
+    """The invariance above, on real workers: a fault schedule may move
+    a shard to a retry or to the in-parent fallback, never change what
+    it measured."""
+
+    @pytest.mark.parametrize(
+        "shards, attempts",
+        [(4, ()), (2, (0,)), (4, (0, 1)), (2, (0, 1, 2))],
+        ids=["4-clean", "2-retry", "4-retry-twice", "2-fallback"],
+    )
+    def test_process_runs_match_one_serial_shard(
+        self, serial_reference, shards, attempts
+    ):
+        injector = FaultInjector(specs=tuple(
+            FaultSpec(kind="error", shard=1, mode=mode, attempts=attempts)
+            for mode in ("enroll", "scan", "identify")
+        )) if attempts else None
+        fingerprints, scan, identify = run_real_fleet(
+            shards, "process", injector
+        )
+        ref_fingerprints, ref_scan, ref_identify = serial_reference
+        assert fingerprints == ref_fingerprints
+        assert scan.canonical_bytes() == ref_scan.canonical_bytes()
+        assert identify.canonical_bytes() == ref_identify.canonical_bytes()
+        assert scan.degraded == bool(attempts)
+        assert identify.degraded == bool(attempts)
+        if len(attempts) > MAX_RETRIES:
+            assert scan.shard_health[1].outcome == SERIAL_FALLBACK

@@ -49,7 +49,11 @@ def module_parts(path: Path) -> List[str]:
 
 
 def imported_modules(path: Path) -> Set[str]:
-    """Absolute dotted names of everything ``path`` imports."""
+    """Absolute dotted names of everything ``path`` imports.
+
+    ``from a import b`` contributes both ``a`` and ``a.b``, so a pin on
+    a submodule holds whichever import form reaches it.
+    """
     tree = ast.parse(path.read_text())
     parts = module_parts(path)
     found = set()
@@ -59,13 +63,15 @@ def imported_modules(path: Path) -> Set[str]:
                 found.add(alias.name)
         elif isinstance(node, ast.ImportFrom):
             if node.level == 0:
-                found.add(node.module or "")
+                module = node.module or ""
             else:
                 # Relative import: strip ``level`` components off this
                 # module's own dotted path (``__init__`` counts as one).
                 base = parts[: len(parts) - node.level]
                 suffix = node.module.split(".") if node.module else []
-                found.add(".".join(base + suffix))
+                module = ".".join(base + suffix)
+            found.add(module)
+            found.update(f"{module}.{alias.name}" for alias in node.names)
     return found
 
 
@@ -150,6 +156,20 @@ class TestImportLayers:
             imported = imported_modules(module)
             assert any("runtime" in name.split(".") for name in imported), (
                 f"{module.relative_to(SRC)} does not import the runtime"
+            )
+
+    def test_no_module_imports_shared_memory_machinery(self):
+        """Shard tasks cross the process boundary as pickles only: no
+        module creates shared-memory segments or touches the resource
+        tracker that would have to police them."""
+        forbidden = {
+            "multiprocessing.shared_memory",
+            "multiprocessing.resource_tracker",
+        }
+        for path in sorted(PKG.rglob("*.py")):
+            found = imported_modules(path) & forbidden
+            assert not found, (
+                f"{path.relative_to(SRC)} imports {sorted(found)}"
             )
 
     def test_signals_imports_nothing_external_but_numpy_stack(self):
