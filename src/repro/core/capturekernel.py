@@ -8,16 +8,16 @@ level, and a dense ``np.interp`` inversion over the whole ``(C, N)``
 estimate matrix.  For a static line state all of that is a pure function
 of the cached reflection response and the iTDR configuration.
 
-This module caches it.  :class:`FusedCountKernel` keys per-level decision
-probabilities, binomial CDF tables, and a ``(repetitions + 1)``-entry
-count→voltage lookup on the same content-addressed solve key the
-reflection cache uses, then draws all reference levels' counts in one
-vectorised pass.  The float64 kernel consumes the generator stream in
-exactly the order the grid path does (one uniform block per active
-reference level, compared against the same CDF bits), so its output is
-*byte-identical* to the grid path — pinned in
-``tests/property/test_fused_capture.py`` — while skipping every per-call
-table rebuild.
+This module memoises it.  :class:`FusedCountKernel` keeps the per-level
+decision probabilities and binomial CDF tables of the last line state it
+measured, keyed by the same content-addressed key the solve memo uses,
+plus one ``(repetitions + 1)``-entry count→voltage lookup, then draws all
+reference levels' counts in one vectorised pass.  The float64 kernel
+consumes the generator stream in exactly the order the grid path does
+(one uniform block per active reference level, compared against the
+same CDF bits), so its output is *byte-identical* to the grid path —
+pinned in ``tests/property/test_fused_capture.py`` — while skipping the
+table rebuild on every repeat capture of a state.
 
 It also owns :func:`binomial_cdf_table`, the numerically stable
 replacement for the historical ``math.comb``-product CDF construction,
@@ -32,9 +32,8 @@ incomplete beta function.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.stats import binom as _binom
@@ -158,12 +157,20 @@ _PAD = 2.0
 class FusedCountKernel:
     """Count-only capture estimation from cached decision tables.
 
-    One instance hangs off each :class:`~repro.core.itdr.ITDR`.  Per line
-    state (identified by the iTDR's content-addressed solve key) it caches
-    the per-level decision probabilities and binomial CDF tables computed
-    from the cached reflection response, plus one count→voltage lookup
-    shared across states.  :meth:`estimate` then produces a ``(C, N)``
-    estimate matrix without touching the dense-grid pipeline.
+    One instance hangs off each :class:`~repro.core.itdr.ITDR`.  It holds
+    the per-level decision probabilities and binomial CDF tables of one
+    line state — the last one measured, identified by the iTDR's
+    content-addressed solve key — computed from the cached reflection
+    response, plus one count→voltage lookup shared across states.
+    :meth:`estimate` then produces a ``(C, N)`` estimate matrix without
+    touching the dense-grid pipeline.
+
+    The table memo holds one entry on purpose.  Repeat captures of one
+    state (averaging, monitoring, enrollment) hit it; a fleet visiting its
+    buses round-robin rebuilds once per visit.  At the prototype config a
+    state's tables are about 94.6 kB against 3.2 kB for its reflection, so
+    holding them for every bus a worker serves would cost far more memory
+    than the rebuild costs time.
 
     Stream discipline (the float64 byte-identity contract): the grid path
     draws, per active reference level in ascending-level order, one
@@ -182,17 +189,13 @@ class FusedCountKernel:
         invert: Callable[[np.ndarray], np.ndarray],
         dtype=np.float64,
         budget: int = 4_000_000,
-        cache_size: int = 16,
     ) -> None:
         if repetitions < 1:
             raise ValueError("repetitions must be >= 1")
-        if cache_size < 1:
-            raise ValueError("cache_size must be >= 1")
         self.comparator = comparator
         self.dtype = np.dtype(dtype)
         self.repetitions = repetitions
         self._budget = budget
-        self._cache_size = cache_size
         # The Vernier trial split: repetitions distributed over the sorted
         # reference ladder as evenly as integer division allows, remainder
         # on the first levels — matching PDMScheme.measure_counts and the
@@ -211,7 +214,8 @@ class FusedCountKernel:
         # identical quotient.
         lookup = invert(np.arange(repetitions + 1) / repetitions)
         self._lookup = np.asarray(lookup).astype(self.dtype, copy=False)
-        self._tables: "OrderedDict[object, _LevelTables]" = OrderedDict()
+        #: The one-entry table memo: ``(key, tables)`` of the last state.
+        self._last: Optional[Tuple[object, _LevelTables]] = None
 
     # ------------------------------------------------------------------
     @property
@@ -243,17 +247,14 @@ class FusedCountKernel:
     def tables_for(
         self, key: object, v_samples: np.ndarray, stats: CaptureKernelStats
     ) -> _LevelTables:
-        """Cached per-state tables, building (and evicting LRU) on miss."""
-        tables = self._tables.get(key)
-        if tables is not None:
-            self._tables.move_to_end(key)
+        """The tables of state ``key``: the memo on a repeat, else a build
+        that replaces it."""
+        if self._last is not None and self._last[0] == key:
             stats.table_hits += 1
-            return tables
+            return self._last[1]
         tables = self._build_tables(np.asarray(v_samples, dtype=float))
         stats.table_builds += 1
-        if len(self._tables) >= self._cache_size:
-            self._tables.popitem(last=False)
-        self._tables[key] = tables
+        self._last = (key, tables)
         return tables
 
     def _uniform(self, shape, rng: np.random.Generator) -> np.ndarray:
@@ -271,7 +272,7 @@ class FusedCountKernel:
     ) -> np.ndarray:
         """``(n_captures, N)`` voltage estimates of one static line state.
 
-        ``key`` addresses the table cache (the iTDR's solve key);
+        ``key`` addresses the table memo (the iTDR's solve key);
         ``v_samples`` is the cached noiseless reflection at the comparator
         input, used only on a table miss.
         """

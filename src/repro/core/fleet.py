@@ -23,9 +23,14 @@ Determinism is the design constraint, not an afterthought:
   same stream a one-core scan would have produced.
 
 Worker processes are reused across scans (the pool stays open for the
-executor's lifetime) and each keeps one iTDR per configuration digest, so
-the content-hash-keyed reflection cache stays warm: re-scanning an
-unchanged fleet pays zero physics solves per worker after the first pass.
+executor's lifetime) and each keeps one iTDR per configuration digest.
+Solved reflections live in the worker's process-wide solve memo
+(:func:`~repro.core.solvecache.process_solve_cache`), whose capacity
+holds every bus a worker serves at benchmark scale, so re-scanning an
+unchanged fleet pays zero physics solves per worker after the first
+pass.  The fused kernel's decision tables are memoised for one state
+only, so a round-robin scan rebuilds them once per bus visit — by design:
+holding them for every bus would cost ~30x the reflection's memory.
 
 Worker failure is an expected event, not an abort: dispatch runs every
 shard through the :mod:`~repro.core.faults` recovery ladder (bounded
@@ -342,11 +347,12 @@ class _ShardTask:
 
 
 #: Per-process measurement state, keyed by the iTDR configuration digest.
-#: A worker reuses one iTDR across every task it executes, so the
-#: content-hash-keyed reflection cache (PR 1) stays warm: repeated scans
-#: of the same fleet re-solve no physics.  The generator is rebound per
-#: bus visit, so the persistent instance never couples stochastic streams
-#: across buses.
+#: A worker reuses one iTDR across every task it executes.  The solves it
+#: needs live in the process-wide solve memo, which outlives any one iTDR,
+#: so repeated scans of the same fleet re-solve no physics; the iTDR's
+#: own state is its probe edge and its one-entry decision-table memo.
+#: The generator is rebound per bus visit, so the persistent instance
+#: never couples stochastic streams across buses.
 _WORKER_ITDRS: Dict[str, ITDR] = {}
 
 

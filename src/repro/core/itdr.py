@@ -16,7 +16,6 @@ numpy — the workhorse of the statistical experiments.
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -44,6 +43,11 @@ __all__ = ["ITDRConfig", "IIPCapture", "MeasurementBudget", "ITDR"]
 class ITDRConfig:
     """Everything that defines one iTDR instance.
 
+    Nothing here sizes a cache.  Solved reflections live in the one
+    process-wide memo (:func:`~repro.core.solvecache.process_solve_cache`),
+    shared by every iTDR in the process, and the fused kernel keeps only
+    the decision tables of the state it measured last.
+
     Attributes:
         clock_frequency: Data/sampling clock, hertz (156.25 MHz prototype).
         phase_step: ETS phase increment tau, seconds (11.16 ps prototype).
@@ -63,10 +67,6 @@ class ITDRConfig:
         edge_amplitude: Driver voltage swing, volts.
         trigger: Trigger generator (clock-lane default: every cycle fires).
         record_margin: Extra record time past the line round trip, seconds.
-        reflection_cache_size: Capacity of the per-iTDR reflected-waveform
-            LRU (the L1 in front of the process-wide solve memo).  Size it
-            to the number of distinct line states an iTDR alternates
-            between; the default covers the monitoring loop's handful.
         phase_jitter_rms: RMS timing jitter of the phase-stepping PLL,
             seconds.  Each trigger samples the waveform at a slightly wrong
             instant; over the repetition count this blurs the waveform
@@ -101,7 +101,6 @@ class ITDRConfig:
         default_factory=lambda: TriggerGenerator(clock_lane=True)
     )
     record_margin: float = 0.3e-9
-    reflection_cache_size: int = 16
     phase_jitter_rms: float = 0.0
     capture_kernel: str = "fused"
     dtype: str = "float64"
@@ -109,8 +108,6 @@ class ITDRConfig:
     def __post_init__(self) -> None:
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
-        if self.reflection_cache_size < 1:
-            raise ValueError("reflection_cache_size must be >= 1")
         if not 0 < self.coupling <= 1:
             raise ValueError("coupling must be in (0, 1]")
         if self.pdm_amplitude < 0:
@@ -193,15 +190,8 @@ class ITDR:
             amplitude=config.edge_amplitude,
             kind="raised_cosine",
         )
-        # Reflected-waveform memo: repeated captures of the same line state
-        # (the averaging and monitoring paths) share one physics solve.
-        # Keyed by a content hash of the resolved electrical state, so
-        # mutating a line or its modifiers in place can never serve stale
-        # physics; evicted least-recently-used, bounded to stay a cache.
-        # This is the L1 in front of the process-wide SolveCache (L2),
-        # which shares solved states across every iTDR in the process.
-        self._reflection_cache: "OrderedDict" = OrderedDict()
-        self._reflection_cache_max = config.reflection_cache_size
+        # Prefix of the content-addressed key under which this iTDR's
+        # solves live in the process-wide solve memo (see _solve_key).
         self._solve_key_prefix: Optional[tuple] = None
         if config.use_pdm:
             p, q = config.pdm_vernier
@@ -239,7 +229,6 @@ class ITDR:
             invert=inverter.invert,
             dtype=config.np_dtype,
             budget=self._BERNOULLI_BUDGET,
-            cache_size=config.reflection_cache_size,
         )
         self._probe_edge: Optional[Waveform] = None
 
@@ -303,13 +292,12 @@ class ITDR:
         validation and for computing ideal similarity bounds.  Identical
         electrical states are memoised by content (the resolved profile's
         hash plus the probe-edge/coupling digest, engine and record
-        length) in two levels: the per-iTDR LRU sized by
-        ``ITDRConfig.reflection_cache_size``, then the process-wide
-        :func:`~repro.core.solvecache.process_solve_cache` shared by every
-        iTDR in the process (fleet workers, experiment loops).  Repeated
-        captures of an unchanged state pay for one physics solve, while
-        any in-place mutation of the line or its modifiers hashes
-        differently and triggers a fresh solve.
+        length) in :func:`~repro.core.solvecache.process_solve_cache`,
+        the one solve memo shared by every iTDR in the process (fleet
+        workers, experiment loops).  Repeated captures of an unchanged
+        state pay for one physics solve, while any in-place mutation of
+        the line or its modifiers hashes differently and triggers a fresh
+        solve.
         """
         return self._true_reflection_keyed(line, modifiers, engine)[0]
 
@@ -321,20 +309,15 @@ class ITDR:
     ) -> tuple:
         """:meth:`true_reflection` plus the content-addressed solve key.
 
-        The key doubles as the fused kernel's decision-table cache key, so
-        the table cache inherits the reflection cache's integrity contract
-        for free: any state mutation re-keys, a stale table can never be
+        The key doubles as the fused kernel's decision-table memo key, so
+        the table memo inherits the solve memo's integrity contract for
+        free: any state mutation re-keys, a stale table can never be
         served.
         """
         profile = line.profile_under(modifiers)
         n_out = self.record_length(line)
         key = self._solve_key(profile.content_hash(), engine, n_out)
         solves = process_solve_cache()
-        cached = self._reflection_cache.get(key)
-        if cached is not None:
-            self._reflection_cache.move_to_end(key)
-            solves.record_hit()
-            return cached, key
         wave = solves.get(key)
         if wave is None:
             self.kernel_stats.dense_renders += 1
@@ -343,9 +326,6 @@ class ITDR:
             )
             wave = wave.scaled(self.config.coupling)
             solves.put(key, wave)
-        if len(self._reflection_cache) >= self._reflection_cache_max:
-            self._reflection_cache.popitem(last=False)
-        self._reflection_cache[key] = wave
         return wave, key
 
     # ------------------------------------------------------------------

@@ -2,28 +2,25 @@
 
 The reflected-waveform solve is the expensive step of every capture, and
 its result is a pure function of content: the resolved impedance profile,
-the probe edge, the coupling, the engine, and the record length.  PR 1
-memoised it per iTDR; this module extends the memo to the process, so
-*every* iTDR in a worker — the fleet keeps one per configuration digest,
-experiments construct them freely — shares one pool of solved states.
+the probe edge, the coupling, the engine, and the record length.  This
+module holds the one memo for it: :func:`process_solve_cache`, a
+process-wide LRU that :meth:`repro.core.itdr.ITDR.true_reflection` reads
+and writes directly, so *every* iTDR in a process — the fleet keeps one
+per configuration digest, experiments construct them freely — shares one
+pool of solved states.
 
-Two levels cooperate (see :meth:`repro.core.itdr.ITDR.true_reflection`):
+The default capacity (4096 entries, about 3.2 kB per prototype
+reflection, so roughly 13 MB at the bound) holds every bus state a fleet
+worker visits at benchmark scale: a fleet visits its buses round-robin,
+and an LRU smaller than that working set would hit 0 % on every warm
+re-scan.
 
-* **L1** — the per-iTDR LRU (``ITDRConfig.reflection_cache_size``), the
-  fast path for the overwhelmingly common repeat-capture-of-one-state
-  loops;
-* **L2** — the :func:`process_solve_cache` singleton here, keyed by the
-  same content-addressed tuple, which turns cross-iTDR and cross-scan
-  repeats into hits instead of fresh solves.
-
-The counters are solve accounting, not dict accounting: ``hits`` counts
-solves *avoided* (whether L1 or L2 satisfied the request — the iTDR
-reports L1 hits via :meth:`SolveCache.record_hit`), ``misses`` counts
-solves performed, ``evictions`` counts entries dropped by the LRU bound.
-``hits + misses`` therefore equals the number of solve requests.  Fleet
-workers snapshot the counters around each shard and ship the delta home,
-where :meth:`repro.core.runtime.Telemetry.record_cache` folds it into the
-``health.solve_cache`` section of every snapshot.
+The counters are solve accounting: ``hits`` counts solves avoided,
+``misses`` counts solves performed, ``evictions`` counts entries dropped
+by the LRU bound.  ``hits + misses`` therefore equals the number of solve
+requests.  Fleet workers snapshot the counters around each shard and ship
+the delta home, where :meth:`repro.core.runtime.Telemetry.record_cache`
+folds it into the ``health.solve_cache`` section of every snapshot.
 
 Caching is safe because cached values are immutable by convention
 (:class:`~repro.signals.waveform.Waveform` is a frozen dataclass and no
@@ -46,7 +43,7 @@ class SolveCache:
     #: Counter names, in the order they appear in :meth:`stats`.
     COUNTER_KEYS = ("hits", "misses", "evictions")
 
-    def __init__(self, capacity: int = 256) -> None:
+    def __init__(self, capacity: int = 4096) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
@@ -70,10 +67,6 @@ class SolveCache:
         self._entries.move_to_end(key)
         self.hits += 1
         return entry
-
-    def record_hit(self) -> None:
-        """Count a solve avoided by a faster layer (the per-iTDR L1)."""
-        self.hits += 1
 
     def put(self, key: Hashable, value: object) -> None:
         """Store one solved value, evicting least-recently-used over capacity."""
@@ -101,7 +94,7 @@ class SolveCache:
         self.evictions = 0
 
 
-#: The per-process L2 instance.  Module-level so pool workers each get
+#: The per-process instance.  Module-level so pool workers each get
 #: their own on first import — no cross-process sharing to reason about.
 _PROCESS_CACHE = SolveCache()
 

@@ -131,7 +131,7 @@ class TestLevelTables:
         it 170,208."""
         itdr = prototype_itdr(rng=np.random.default_rng(0))
         itdr.capture(line)
-        (tables,) = itdr._fused._tables.values()
+        _, tables = itdr._fused._last
         assert tables.cdf_pad.shape == (6, 4, 394)
         held = sum(p.nbytes for p in tables.probs) + tables.cdf_pad.nbytes
         assert held == 94_560
@@ -150,7 +150,9 @@ class TestLevelTables:
                              CaptureKernelStats())
         rng = np.random.default_rng(5)
         counts = np.zeros((c, n), dtype=np.int64)
-        for p, n_j in zip(mixed._tables["k"].probs, (5, 4, 4, 4, 4, 4)):
+        key, tables = mixed._last
+        assert key == "k"
+        for p, n_j in zip(tables.probs, (5, 4, 4, 4, 4, 4)):
             if n_j == 5:
                 counts += rng.binomial(n_j, np.broadcast_to(p, (c, n)))
             else:
@@ -158,6 +160,19 @@ class TestLevelTables:
                 u = rng.random((c, n))
                 counts += (u[None] > cdf[:, None]).sum(axis=0)
         assert got.tobytes() == (counts / reps).tobytes()
+
+    def test_one_entry_memo_rebuilds_on_every_key_change(self):
+        """Only the last state's tables are held: A, A, B, A is three
+        builds (A, B, A again) and one hit (the repeated A)."""
+        kernel = prototype_itdr()._fused
+        stats = CaptureKernelStats()
+        v = np.linspace(-0.02, 0.02, 32)
+        first = kernel.tables_for("A", v, stats)
+        assert kernel.tables_for("A", v, stats) is first
+        kernel.tables_for("B", -v, stats)
+        again = kernel.tables_for("A", v, stats)
+        assert again is not first
+        assert (stats.table_builds, stats.table_hits) == (3, 1)
 
 
 class TestCountOnlyPathsRenderNoDenseGrids:
@@ -256,6 +271,42 @@ class TestCountOnlyPathsRenderNoDenseGrids:
         assert delta["grid_calls"] == 0
         assert delta["fused_calls"] == len(lines)
         assert delta["fused_captures"] == 2 * len(lines)
+
+    def test_fleet_rescan_at_scale_solves_and_renders_nothing(self):
+        """The zero-solve invariant at fleet scale: a second scan of 512
+        unchanged buses hits the solve memo for every bus.  Tables are
+        rebuilt once per visit by design (the kernel memoises one state),
+        and that trade-off is pinned here too."""
+        n_buses = 512
+        lines = prototype_line_factory().manufacture_batch(
+            n_buses, first_seed=5000
+        )
+        executor = FleetScanExecutor(
+            Authenticator(0.85),
+            TamperDetector(
+                threshold=2.5e-3, velocity=FR4.velocity_at(FR4.t_ref_c)
+            ),
+            itdr_config=prototype_itdr_config(),
+            captures_per_check=4,
+            shards=1,
+            backend="serial",
+            seed=31,
+        )
+        with executor:
+            for line in lines:
+                executor.register(line)
+            executor.enroll()
+            executor.scan()
+            health = executor.telemetry.snapshot()["health"]
+            warm_solves = health["solve_cache"]["workers"]
+            warm_kernel = health["capture_kernel"]
+            executor.scan()
+            health = executor.telemetry.snapshot()["health"]
+        solves = health["solve_cache"]["workers"]
+        kernel = health["capture_kernel"]
+        assert solves["misses"] - warm_solves["misses"] == 0
+        assert kernel["dense_renders"] - warm_kernel["dense_renders"] == 0
+        assert kernel["table_builds"] - warm_kernel["table_builds"] == n_buses
 
     def test_jitter_and_interference_still_take_dense_path(self, line):
         """The fused gate only covers the closed-form static case; the

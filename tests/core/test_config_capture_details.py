@@ -49,12 +49,6 @@ class TestReflectionCache:
         probed = itdr.true_reflection(line, [MagneticProbe(0.1)])
         assert not np.array_equal(clean.samples, probed.samples)
 
-    def test_cache_bounded(self, factory, itdr):
-        lines = factory.manufacture_batch(20, first_seed=500)
-        for l in lines:
-            itdr.true_reflection(l)
-        assert len(itdr._reflection_cache) <= itdr._reflection_cache_max
-
     def test_cache_keyed_by_content_not_identity(self, factory, itdr):
         """Two line objects with identical physics share one solve."""
         line_a = factory.manufacture(seed=600)

@@ -172,6 +172,18 @@ class TestImportLayers:
                 f"{path.relative_to(SRC)} imports {sorted(found)}"
             )
 
+    def test_one_lru_memo_in_the_package(self):
+        """Solved reflections have one memo, the process-wide
+        ``core.solvecache``; the fused kernel keeps a one-entry table
+        memo.  No other module may grow its own LRU beside them."""
+        owner = PKG / "core" / "solvecache.py"
+        for path in sorted(PKG.rglob("*.py")):
+            if path == owner:
+                continue
+            assert "collections.OrderedDict" not in imported_modules(path), (
+                f"{path.relative_to(SRC)} imports collections.OrderedDict"
+            )
+
     def test_signals_imports_nothing_external_but_numpy_stack(self):
         """The substrate layer stays dependency-light (numpy/scipy only)."""
         stdlib_ok = {
