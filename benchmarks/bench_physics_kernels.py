@@ -5,8 +5,9 @@ magnitude slower than the Born engine's vectorised echo pass, which is why
 every hot path defaulted to the approximate model.  This bench pins the
 batched kernel's win: stepping ``C`` capture rows through one vectorised
 k-loop must be at least 10x faster per sequence than the scalar reference
-at ``C=256`` — and bit-for-bit identical to it, so the speedup is never
-bought with different physics.
+loop (``tests/oracles.scalar_impulse_sequence``) at ``C=256`` — and
+bit-for-bit identical to it, so the speedup is never bought with different
+physics.
 
 The second pin covers the shared convolution helper: the method choice
 (direct vs FFT) is a pure function of operand sizes, the FFT path beats
@@ -18,9 +19,10 @@ The third pin covers the fused count-only capture kernel: steady-state
 captures (monitoring checks, enrollment stacks, fleet scans) skip the
 dense probability-grid render and draw comparator counts straight from
 cached per-level CDF tables.  At the monitoring scale — one capture per
-check, warm caches — the fused path must be at least 5x the grid path
-in captures/sec while staying bit-for-bit identical to it, and must
-perform zero dense renders once warm.
+check, warm caches — the fused path must be at least 5x the dense-grid
+estimator (``tests/oracles.grid_capture_stack``) in captures/sec while
+staying bit-for-bit identical to it, and must perform zero dense renders
+once warm.
 
 Results are written to ``benchmarks/BENCH_physics.json`` so the solver
 throughput trajectory can be tracked across commits.  Under
@@ -46,6 +48,7 @@ from repro.signals import conv_method, convolve_full
 from repro.txline.materials import FR4
 from repro.txline.profile import ImpedanceProfile
 from repro.txline.propagation import LatticeEngine
+from tests.oracles import grid_capture_stack, scalar_impulse_sequence
 
 from conftest import emit, smoke_mode
 
@@ -98,7 +101,7 @@ def test_batched_lattice_at_least_10x_scalar(benchmark, record_physics_result):
 
     scalar_s = _best_time(
         lambda: [
-            engine.scalar_impulse_sequence(p, n_steps=n_steps)
+            scalar_impulse_sequence(engine, p, n_steps=n_steps)
             for p in profiles
         ]
     )
@@ -122,7 +125,7 @@ def test_batched_lattice_at_least_10x_scalar(benchmark, record_physics_result):
         z, tau, r_load, loss, r_src=r_src, n_steps=n_steps
     )
     for i, p in enumerate(profiles):
-        reference = engine.scalar_impulse_sequence(p, n_steps=n_steps)
+        reference = scalar_impulse_sequence(engine, p, n_steps=n_steps)
         assert batched[i].tobytes() == reference.samples.tobytes()
 
     record_physics_result(
@@ -158,41 +161,41 @@ FUSED_STACKS = (1, 4, 64)
 
 
 def test_fused_capture_kernel_at_least_5x_grid(record_physics_result):
-    """Count-only captures beat the dense-grid path 5x at monitor scale.
+    """Count-only captures beat the dense-grid estimator 5x at monitor scale.
 
-    Both iTDRs are warmed first (reflection solve + CDF tables cached),
-    then timed over repeated ``capture_stack`` calls — exactly the
-    steady-state monitoring loop.  The speedup must never be bought with
-    different statistics: the fused stacks are bit-for-bit the grid
-    stacks, and the fused iTDR performs zero dense renders while timed.
+    Both sides are warmed first (reflection solve + CDF tables cached),
+    then timed over repeated stack captures — exactly the steady-state
+    monitoring loop.  The speedup must never be bought with different
+    statistics: the fused stacks are bit-for-bit the oracle's stacks,
+    and the fused iTDR performs zero dense renders while timed.
     """
     line = prototype_line_factory().manufacture(seed=900)
 
-    def rate(itdr, n_captures):
-        itdr.capture_stack(line, n_captures)  # warm every cache
+    def rate(capture, n_captures):
+        capture(n_captures)  # warm every cache
         start = time.perf_counter()
         for _ in range(FUSED_ROUNDS):
-            itdr.capture_stack(line, n_captures)
+            capture(n_captures)
         return FUSED_ROUNDS * n_captures / (time.perf_counter() - start)
 
     rows = {}
     for n_captures in FUSED_STACKS:
+        grid = prototype_itdr(rng=np.random.default_rng(2))
         grid_rate = rate(
-            prototype_itdr(
-                rng=np.random.default_rng(2), capture_kernel="grid"
-            ),
-            n_captures,
+            lambda n: grid_capture_stack(grid, line, n), n_captures
         )
         fused = prototype_itdr(rng=np.random.default_rng(2))
-        fused_rate = rate(fused, n_captures)
+        fused_rate = rate(
+            lambda n: fused.capture_stack(line, n), n_captures
+        )
         rows[n_captures] = (grid_rate, fused_rate)
 
     # Bit-identity and zero dense renders in the steady state.
     fused = prototype_itdr(rng=np.random.default_rng(3))
-    grid = prototype_itdr(rng=np.random.default_rng(3), capture_kernel="grid")
+    grid = prototype_itdr(rng=np.random.default_rng(3))
     assert (
         fused.capture_stack(line, 8).tobytes()
-        == grid.capture_stack(line, 8).tobytes()
+        == grid_capture_stack(grid, line, 8).tobytes()
     )
     before = fused.kernel_stats.snapshot()
     fused.capture_stack(line, 8)

@@ -12,12 +12,13 @@ This module memoises it.  :class:`FusedCountKernel` keeps the per-level
 decision probabilities and binomial CDF tables of the last line state it
 measured, keyed by the same content-addressed key the solve memo uses,
 plus one ``(repetitions + 1)``-entry count→voltage lookup, then draws all
-reference levels' counts in one vectorised pass.  The float64 kernel
-consumes the generator stream in exactly the order the grid path does
-(one uniform block per active reference level, compared against the
-same CDF bits), so its output is *byte-identical* to the grid path —
-pinned in ``tests/property/test_fused_capture.py`` — while skipping the
-table rebuild on every repeat capture of a state.
+reference levels' counts in one vectorised pass.  The kernel consumes the
+generator stream in exactly the order the dense-grid estimator does (one
+uniform block per active reference level, compared against the same CDF
+bits), so its output is *byte-identical* to that estimator — kept as the
+oracle ``tests/oracles.grid_capture_stack`` and pinned in
+``tests/property/test_fused_capture.py`` — while skipping the table
+rebuild on every repeat capture of a state.  Every capture is float64.
 
 It also owns :func:`binomial_cdf_table`, the numerically stable
 replacement for the historical ``math.comb``-product CDF construction,
@@ -57,16 +58,14 @@ __all__ = [
 EXACT_PMF_MAX_TRIALS = 64
 
 
-def binomial_cdf_table(
-    n_trials: int, p: np.ndarray, dtype=np.float64
-) -> np.ndarray:
+def binomial_cdf_table(n_trials: int, p: np.ndarray) -> np.ndarray:
     """``P(X <= k)`` for ``k = 0 .. n_trials-1``, shape ``(n_trials, N)``.
 
     The table feeds inverse-CDF sampling: a uniform ``u`` maps to the
     count ``#{k : u > cdf[k]}``, which is exactly ``Binomial(n_trials, p)``
     in distribution.  ``p`` is the per-point Bernoulli probability array.
 
-    For ``n_trials <= EXACT_PMF_MAX_TRIALS`` (and float64) the historical
+    For ``n_trials <= EXACT_PMF_MAX_TRIALS`` the historical
     term-product construction is kept verbatim so existing seeded pins
     stay bit-identical; beyond that the regularised-incomplete-beta CDF
     takes over — stable at any trial count (the old formula raised
@@ -74,18 +73,16 @@ def binomial_cdf_table(
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    p = np.atleast_1d(np.asarray(p))
-    if np.dtype(dtype) == np.float64 and n_trials <= EXACT_PMF_MAX_TRIALS:
-        p64 = np.asarray(p, dtype=np.float64)
-        q64 = 1.0 - p64
+    p = np.atleast_1d(np.asarray(p, dtype=np.float64))
+    if n_trials <= EXACT_PMF_MAX_TRIALS:
+        q = 1.0 - p
         pmf = [
-            math.comb(n_trials, k) * p64**k * q64 ** (n_trials - k)
+            math.comb(n_trials, k) * p**k * q ** (n_trials - k)
             for k in range(n_trials)
         ]
         return np.cumsum(pmf, axis=0)
     k = np.arange(n_trials, dtype=np.float64)
-    cdf = _binom.cdf(k[:, None], n_trials, np.asarray(p, dtype=np.float64))
-    return cdf.astype(dtype, copy=False)
+    return _binom.cdf(k[:, None], n_trials, p)
 
 
 @dataclass
@@ -172,12 +169,12 @@ class FusedCountKernel:
     holding them for every bus a worker serves would cost far more memory
     than the rebuild costs time.
 
-    Stream discipline (the float64 byte-identity contract): the grid path
-    draws, per active reference level in ascending-level order, one
-    ``(C, N)`` uniform block (or one ``rng.binomial`` call when that
-    level's comparison tensor exceeds ``budget``).  The fused kernel
-    consumes the stream identically — a single ``(L, C, N)`` draw is
-    bit-for-bit the ``L`` successive blocks — so identical seeds give
+    Stream discipline (the byte-identity contract): the dense-grid
+    estimator draws, per active reference level in ascending-level
+    order, one ``(C, N)`` uniform block (or one ``rng.binomial`` call
+    when that level's comparison tensor exceeds ``budget``).  The fused
+    kernel consumes the stream identically — a single ``(L, C, N)`` draw
+    is bit-for-bit the ``L`` successive blocks — so identical seeds give
     identical captures down to the last bit.
     """
 
@@ -187,19 +184,17 @@ class FusedCountKernel:
         levels: Sequence[float],
         repetitions: int,
         invert: Callable[[np.ndarray], np.ndarray],
-        dtype=np.float64,
         budget: int = 4_000_000,
     ) -> None:
         if repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         self.comparator = comparator
-        self.dtype = np.dtype(dtype)
         self.repetitions = repetitions
         self._budget = budget
         # The Vernier trial split: repetitions distributed over the sorted
         # reference ladder as evenly as integer division allows, remainder
         # on the first levels — matching PDMScheme.measure_counts and the
-        # grid estimation loop exactly.  Levels left with zero trials are
+        # dense-grid estimator exactly.  Levels left with zero trials are
         # dropped (they draw nothing on either path).
         levels = np.sort(np.asarray(levels, dtype=float))
         base, extra = divmod(repetitions, len(levels))
@@ -212,8 +207,9 @@ class FusedCountKernel:
         # mixture-CDF inversion: lookup[c] is bitwise what invert(c / r)
         # returns, because both clip and interpolate elementwise on the
         # identical quotient.
-        lookup = invert(np.arange(repetitions + 1) / repetitions)
-        self._lookup = np.asarray(lookup).astype(self.dtype, copy=False)
+        self._lookup = np.asarray(
+            invert(np.arange(repetitions + 1) / repetitions), dtype=float
+        )
         #: The one-entry table memo: ``(key, tables)`` of the last state.
         self._last: Optional[Tuple[object, _LevelTables]] = None
 
@@ -224,19 +220,14 @@ class FusedCountKernel:
         return self._lookup
 
     def _build_tables(self, v_samples: np.ndarray) -> _LevelTables:
-        f32 = self.dtype == np.float32
         n_points = len(v_samples)
         max_nj = max(n_j for _, n_j in self._active)
-        cdf_pad = np.full(
-            (len(self._active), max_nj, n_points), _PAD, dtype=self.dtype
-        )
+        cdf_pad = np.full((len(self._active), max_nj, n_points), _PAD)
         probs = []
         for j, (level, n_j) in enumerate(self._active):
-            p = self.comparator.probability_of_one(
-                v_samples, level, dtype=self.dtype if f32 else float
-            )
+            p = self.comparator.probability_of_one(v_samples, level)
             probs.append(p)
-            cdf_pad[j, :n_j] = binomial_cdf_table(n_j, p, dtype=self.dtype)
+            cdf_pad[j, :n_j] = binomial_cdf_table(n_j, p)
         return _LevelTables(
             probs=tuple(probs),
             cdf_pad=cdf_pad,
@@ -256,11 +247,6 @@ class FusedCountKernel:
         stats.table_builds += 1
         self._last = (key, tables)
         return tables
-
-    def _uniform(self, shape, rng: np.random.Generator) -> np.ndarray:
-        if self.dtype == np.float32:
-            return rng.random(shape, dtype=np.float32)
-        return rng.random(shape)
 
     def estimate(
         self,
@@ -284,18 +270,18 @@ class FusedCountKernel:
         if all(n_j * size <= self._budget for n_j in tables.n_js):
             # One stream-equivalent draw for every level, one comparison
             # against the padded CDF tensor, one integer reduction.
-            u = self._uniform((len(tables.n_js), c, n), rng)
+            u = rng.random((len(tables.n_js), c, n))
             counts = (
                 u[:, None, :, :] > tables.cdf_pad[:, :, None, :]
             ).sum(axis=(0, 1))
         else:
             # Mixed regime: levels whose comparison tensor busts the
             # budget fall back to direct binomial sampling, in the same
-            # per-level order the grid path uses.
+            # per-level order the dense-grid estimator uses.
             counts = np.zeros((c, n), dtype=np.int64)
             for p, cdf, n_j in zip(tables.probs, tables.cdf_pad, tables.n_js):
                 if n_j * size <= self._budget:
-                    u = self._uniform((c, n), rng)
+                    u = rng.random((c, n))
                     counts += (u[None, :, :] > cdf[:n_j, None, :]).sum(axis=0)
                 else:
                     counts += rng.binomial(n_j, np.broadcast_to(p, (c, n)))

@@ -45,19 +45,12 @@ class Comparator:
             )
 
     # ------------------------------------------------------------------
-    def probability_of_one(self, v_sig, v_ref, dtype=float) -> np.ndarray:
-        """P(Y=1) for signal/reference voltage(s) — the paper's Eq. (1).
-
-        ``dtype`` selects the working precision: float64 (the default,
-        and the byte-identity reference every pin is taken against) or
-        float32 for the reduced-bandwidth capture mode — ``ndtr`` is a
-        ufunc with a native single-precision loop, so the float32 path
-        never materialises a double-precision intermediate.
-        """
-        v_sig = np.asarray(v_sig, dtype=dtype)
-        v_ref = np.asarray(v_ref, dtype=dtype)
+    def probability_of_one(self, v_sig, v_ref) -> np.ndarray:
+        """P(Y=1) for signal/reference voltage(s) — the paper's Eq. (1)."""
+        v_sig = np.asarray(v_sig, dtype=float)
+        v_ref = np.asarray(v_ref, dtype=float)
         z = (v_sig - self.offset - v_ref) / self.noise_sigma
-        return ndtr(np.asarray(z, dtype=dtype))
+        return ndtr(np.asarray(z, dtype=float))
 
     def decide(
         self,

@@ -25,11 +25,7 @@ from ..signals.edges import EdgeShape
 from ..signals.waveform import Waveform
 from ..txline.line import TransmissionLine
 from .apc import APCConverter
-from .capturekernel import (
-    CaptureKernelStats,
-    FusedCountKernel,
-    binomial_cdf_table,
-)
+from .capturekernel import CaptureKernelStats, FusedCountKernel
 from .comparator import Comparator
 from .ets import ETSSampler, PhaseSteppingPLL
 from .pdm import PDMScheme, TriangleWave, VernierRelation
@@ -43,10 +39,14 @@ __all__ = ["ITDRConfig", "IIPCapture", "MeasurementBudget", "ITDR"]
 class ITDRConfig:
     """Everything that defines one iTDR instance.
 
-    Nothing here sizes a cache.  Solved reflections live in the one
-    process-wide memo (:func:`~repro.core.solvecache.process_solve_cache`),
-    shared by every iTDR in the process, and the fused kernel keeps only
-    the decision tables of the state it measured last.
+    Every field is physical: nothing here sizes a cache, picks a capture
+    kernel or sets a precision (captures are float64).  Solved
+    reflections live in the one process-wide memo
+    (:func:`~repro.core.solvecache.process_solve_cache`), shared by every
+    iTDR in the process, and the fused kernel keeps only the decision
+    tables of the state it measured last.  The line state and the
+    capture options alone decide which kernel runs (see
+    :meth:`ITDR.capture_stack`).
 
     Attributes:
         clock_frequency: Data/sampling clock, hertz (156.25 MHz prototype).
@@ -72,18 +72,6 @@ class ITDRConfig:
             instant; over the repetition count this blurs the waveform
             (deterministic) and leaves a slope-proportional residual noise
             (statistical).  0 models the paper's "timing stability" setup.
-        capture_kernel: ``"fused"`` (default) computes counts directly
-            from cached per-level decision tables whenever the state is
-            static and count-only — skipping every per-call dense-grid
-            table rebuild; ``"grid"`` forces the historical dense path
-            (the byte-identity reference the fused float64 kernel is
-            pinned against).  Jitter, interference, and per-capture
-            perturbed states always take the dense path regardless.
-        dtype: ``"float64"`` (default, the bitwise reference) or
-            ``"float32"`` — halves decision-table and estimate bandwidth
-            on the fused and batched-render paths.  Switching to float32
-            changes every capture's bits; tolerance-based goldens must be
-            re-pinned (see docs/TESTING.md).
     """
 
     clock_frequency: float = 156.25e6
@@ -102,8 +90,6 @@ class ITDRConfig:
     )
     record_margin: float = 0.3e-9
     phase_jitter_rms: float = 0.0
-    capture_kernel: str = "fused"
-    dtype: str = "float64"
 
     def __post_init__(self) -> None:
         if self.repetitions < 1:
@@ -114,15 +100,6 @@ class ITDRConfig:
             raise ValueError("pdm_amplitude must be non-negative")
         if self.phase_jitter_rms < 0:
             raise ValueError("phase_jitter_rms must be non-negative")
-        if self.capture_kernel not in ("fused", "grid"):
-            raise ValueError("capture_kernel must be 'fused' or 'grid'")
-        if self.dtype not in ("float64", "float32"):
-            raise ValueError("dtype must be 'float64' or 'float32'")
-
-    @property
-    def np_dtype(self) -> np.dtype:
-        """The configured working precision as a numpy dtype."""
-        return np.dtype(self.dtype)
 
 
 @dataclass(frozen=True)
@@ -227,8 +204,6 @@ class ITDR:
             levels=levels,
             repetitions=config.repetitions,
             invert=inverter.invert,
-            dtype=config.np_dtype,
-            budget=self._BERNOULLI_BUDGET,
         )
         self._probe_edge: Optional[Waveform] = None
 
@@ -398,14 +373,14 @@ class ITDR:
         :meth:`capture`, so averaging/monitoring consumers get loop-path
         statistics at batch-path cost.
 
-        Static, interference-free states take the fused count kernel
-        (``config.capture_kernel == "fused"``): counts come straight from
-        cached per-level decision tables and a count→voltage lookup, with
-        no per-call dense-grid work — byte-identical (at float64) to the
-        ``"grid"`` reference path because both consume the generator
-        stream in the same order against the same CDF bits.  Jitter and
-        interference materialise per-row voltages and therefore always
-        run the dense path.
+        A static state with no jitter and no interference always takes
+        the fused count kernel: counts come straight from the per-level
+        decision tables of the state and a count→voltage lookup, with no
+        per-call dense-grid work.  Its output is byte-identical to the
+        dense-grid estimator kept as ``tests/oracles.grid_capture_stack``,
+        because both consume the generator stream in the same order
+        against the same CDF bits.  Jitter and interference materialise
+        per-row voltages and therefore take the dense path.
 
         ``interference`` is an optional
         :class:`~repro.env.emi.EMIEnvironment` adding per-trial aggressor
@@ -416,11 +391,7 @@ class ITDR:
         true_wave, key = self._true_reflection_keyed(
             line, modifiers, engine=engine
         )
-        if (
-            self.config.capture_kernel == "fused"
-            and interference is None
-            and self.config.phase_jitter_rms <= 0
-        ):
+        if interference is None and self.config.phase_jitter_rms <= 0:
             est = self._fused.estimate(
                 key, true_wave.samples, n_captures, self.rng,
                 self.kernel_stats,
@@ -515,6 +486,8 @@ class ITDR:
         if n_captures < 1:
             raise ValueError("n_captures must be >= 1")
         if z_batch is None:
+            if tau_batch is not None:
+                raise ValueError("z_batch is required with tau_batch")
             return self.capture_stack(
                 line, n_captures, interference=interference, engine=engine
             )
@@ -527,7 +500,7 @@ class ITDR:
         v_batch = (
             line.batch_reflected_waveforms(
                 self.probe_edge(), z_batch, tau_batch, n_out=n_out,
-                engine=engine, dtype=self.config.np_dtype,
+                engine=engine,
             )
             * self.config.coupling
         )
@@ -538,16 +511,14 @@ class ITDR:
     ) -> np.ndarray:
         """Vectorised APC/PDM estimation over a (C, N) voltage matrix.
 
-        This is the dense ("grid") path: per-call probability tables over
-        the full voltage matrix.  It remains the byte-identity reference
-        the fused kernel is pinned against, and the only path for jitter,
-        interference, and per-capture perturbed states.
+        This is the dense path: per-call probability tables over the full
+        voltage matrix.  It serves only the rows that differ capture to
+        capture — jitter, interference and per-capture ``z_batch`` states
+        — so every row draws its own binomial counts per reference level.
         """
         self.kernel_stats.grid_calls += 1
         self.kernel_stats.grid_captures += int(np.shape(v_batch)[0])
-        v_batch = self._apply_jitter(
-            np.asarray(v_batch, dtype=self.config.np_dtype)
-        )
+        v_batch = self._apply_jitter(np.asarray(v_batch, dtype=float))
         r = self.config.repetitions
         if interference is not None:
             return self._estimate_batch_with_interference(v_batch, interference)
@@ -557,51 +528,14 @@ class ITDR:
             counts = np.zeros(v_batch.shape, dtype=np.int64)
             for level, n_j in zip(levels, split):
                 if n_j:
-                    counts += self._count_ones_batch(v_batch, level, int(n_j))
+                    counts += self.comparator.count_ones(
+                        v_batch, level, int(n_j), self.rng
+                    )
             flat = self.pdm.invert((counts / r).ravel())
         else:
-            counts = self._count_ones_batch(v_batch, 0.0, r)
+            counts = self.comparator.count_ones(v_batch, 0.0, r, self.rng)
             flat = self.apc.invert((counts / r).ravel())
-        est = flat.reshape(v_batch.shape)
-        return est.astype(self.config.np_dtype, copy=False)
-
-    #: Element budget for the Bernoulli-trial sampling shortcut; above it
-    #: the per-trial uniforms would not fit comfortably in cache/memory and
-    #: direct binomial sampling wins.
-    _BERNOULLI_BUDGET = 4_000_000
-
-    def _count_ones_batch(
-        self, v_batch: np.ndarray, level: float, n_trials: int
-    ) -> np.ndarray:
-        """Comparator counts over a (C, N) matrix, exploiting shared rows.
-
-        A static-state stack is a broadcast matrix (stride 0 on the capture
-        axis, unless jitter materialised it): every row shares the same
-        Bernoulli probabilities, so P(Y=1) is computed once per point
-        rather than once per (capture, point).  Counts are then drawn by
-        inverse-CDF sampling — one uniform per element against the shared
-        per-point binomial CDF (built by the numerically stable
-        :func:`~repro.core.capturekernel.binomial_cdf_table`, safe at any
-        repetition count), which is exactly Binomial(n, p) in
-        distribution — falling back to direct binomial sampling when the
-        comparison tensor would be too large.
-        """
-        dtype = self.config.np_dtype
-        if v_batch.ndim == 2 and v_batch.strides[0] == 0:
-            p = self.comparator.probability_of_one(
-                v_batch[0], level, dtype=dtype
-            )
-            if n_trials * v_batch.size <= self._BERNOULLI_BUDGET:
-                cdf = binomial_cdf_table(n_trials, p, dtype=dtype)
-                u = self.rng.random(v_batch.shape, dtype=dtype)
-                counts = np.zeros(v_batch.shape, dtype=np.int64)
-                for k in range(n_trials):
-                    counts += u > cdf[k]
-                return counts
-            return self.rng.binomial(
-                n_trials, np.broadcast_to(p, v_batch.shape)
-            )
-        return self.comparator.count_ones(v_batch, level, n_trials, self.rng)
+        return flat.reshape(v_batch.shape)
 
     def _estimate_batch_with_interference(
         self, v_batch: np.ndarray, interference

@@ -12,16 +12,6 @@ from .protected import LinkRunResult, ProtectedSerialLink
 from .protocol import IOLINK_SPEC, iolink_traffic
 
 
-def __getattr__(name: str):
-    # PEP 562: forward the deprecated alias lazily so merely importing
-    # the package stays silent — only actual use warns.
-    if name == "LinkEvent":
-        from . import protected
-
-        return protected.LinkEvent
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "Frame",
     "FrameError",
@@ -30,7 +20,6 @@ __all__ = [
     "LINE_CODINGS",
     "TransmitRecord",
     "ProtectedSerialLink",
-    "LinkEvent",
     "LinkRunResult",
     "IOLINK_SPEC",
     "iolink_traffic",

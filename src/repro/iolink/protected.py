@@ -13,7 +13,6 @@ memory bus and the shared manager.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -27,20 +26,7 @@ from .frame import Frame, FrameError
 from .link import SerialLink
 from .protocol import IOLINK_SPEC
 
-__all__ = ["LinkEvent", "LinkRunResult", "ProtectedSerialLink"]
-
-
-def __getattr__(name: str):
-    # PEP 562: the compatibility alias survives, but loudly.
-    if name == "LinkEvent":
-        warnings.warn(
-            "LinkEvent is a deprecated alias; use "
-            "repro.core.runtime.MonitorEvent",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return MonitorEvent
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = ["LinkRunResult", "ProtectedSerialLink"]
 
 
 @dataclass

@@ -23,23 +23,6 @@ from .transactions import (
 )
 
 
-def __getattr__(name: str):
-    # PEP 562: the PR-2 compatibility re-export survives, but loudly.
-    if name == "MonitorEvent":
-        import warnings
-
-        warnings.warn(
-            "repro.membus.MonitorEvent is a deprecated alias; use "
-            "repro.core.runtime.MonitorEvent",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from ..core.runtime import MonitorEvent
-
-        return MonitorEvent
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "MemoryOp",
     "MemoryRequest",
@@ -59,7 +42,6 @@ __all__ = [
     "EncryptedWord",
     "xtea_encrypt_block",
     "ProtectedMemorySystem",
-    "MonitorEvent",
     "RunResult",
     "MEMBUS_SPEC",
     "membus_traffic",

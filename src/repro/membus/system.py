@@ -40,7 +40,7 @@ from .dram import SDRAMDevice
 from .protocol import MEMBUS_SPEC
 from .transactions import MemoryRequest
 
-__all__ = ["MonitorEvent", "RunResult", "ProtectedMemorySystem"]
+__all__ = ["RunResult", "ProtectedMemorySystem"]
 
 
 @dataclass

@@ -60,9 +60,7 @@ def convolve_full(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return fftconvolve(a, b)
 
 
-def batch_convolve_full(
-    rows: np.ndarray, kernel: np.ndarray, dtype=float
-) -> np.ndarray:
+def batch_convolve_full(rows: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Convolve every row of ``(C, K)`` with a 1-D ``kernel``, ``(C, K+M-1)``.
 
     The method depends on ``(K, M)`` only: a C-row batch always takes
@@ -70,19 +68,13 @@ def batch_convolve_full(
     path accumulates one shifted, scaled copy of the rows per kernel tap
     (M vectorised passes — chosen only when M or the K*M product is
     small), the FFT path transforms all rows at once.
-
-    ``dtype`` selects the working precision (float64 default — the
-    byte-identity reference; float32 halves the transform and accumulate
-    bandwidth for capture paths that opted out of bitwise pinning).  It
-    never influences the method choice: that stays a pure function of the
-    operand lengths.
     """
-    rows = np.atleast_2d(np.asarray(rows, dtype=dtype))
-    kernel = np.asarray(kernel, dtype=dtype)
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    kernel = np.asarray(kernel, dtype=float)
     c, k = rows.shape
     m = len(kernel)
     if conv_method(k, m) == "direct":
-        out = np.zeros((c, k + m - 1), dtype=dtype)
+        out = np.zeros((c, k + m - 1))
         for j in range(m):
             out[:, j : j + k] += kernel[j] * rows
         return out

@@ -109,7 +109,6 @@ class TransmissionLine:
         tau_batch: np.ndarray,
         n_out: Optional[int] = None,
         engine: str = "born",
-        dtype=float,
     ) -> np.ndarray:
         """Responses for many per-capture perturbed states at once.
 
@@ -119,8 +118,7 @@ class TransmissionLine:
         :meth:`reflected_waveform` with an attack modifier.  Both engines
         share the batch API; the lattice additionally requires each row's
         delays to be uniform (a temperature stretch is, a per-segment
-        perturbation is not).  ``dtype`` selects the rendered precision
-        (float64 default; float32 for the reduced-bandwidth capture mode).
+        perturbation is not).
         """
         profile = self.full_profile
         if engine == "born":
@@ -132,7 +130,6 @@ class TransmissionLine:
                 profile.loss_per_segment,
                 incident,
                 n_out=n_out,
-                dtype=dtype,
             )
         if engine == "lattice":
             lattice = LatticeEngine(grid_dt=incident.dt)
@@ -144,7 +141,6 @@ class TransmissionLine:
                 incident,
                 n_out=n_out,
                 r_src=profile.source_reflection(),
-                dtype=dtype,
             )
         raise ValueError(f"unknown engine {engine!r}")
 

@@ -20,10 +20,11 @@ response mapping the incident wave sample stream to the backward wave sample
 stream observed at the source-side coupler — and both expose the same batch
 API (``batch_impulse_sequences`` / ``batch_reflection_responses`` over
 ``(C, S)`` state arrays), so every capture path can select either engine.
-The lattice time-stepper is vectorised across the capture axis with
-preallocated state buffers; per row it performs bit-for-bit the computation
-of :meth:`LatticeEngine.scalar_impulse_sequence`, the original per-profile
-loop kept as ground truth (pinned in ``tests/property/``).
+Both render float64.  The lattice time-stepper is vectorised across the
+capture axis with preallocated state buffers; per row it performs
+bit-for-bit the computation of the per-profile scalar loop kept in
+``tests/oracles.py`` as its bitwise reference (pinned in
+``tests/property/test_engine_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -40,8 +41,7 @@ __all__ = ["LatticeEngine", "BornEngine", "reflected_waveform"]
 
 
 def _deposit_impulses(
-    times: np.ndarray, amps: np.ndarray, grid_dt: float, n_out: int,
-    dtype=float,
+    times: np.ndarray, amps: np.ndarray, grid_dt: float, n_out: int
 ) -> np.ndarray:
     """Deposit ``(C, E)`` timed impulses onto the analog grid, ``(C, n_out)``.
 
@@ -50,11 +50,9 @@ def _deposit_impulses(
     by which temperature stretch moves echoes.  Impulses falling outside
     the record are dropped.  Shared by both engines: Born deposits one
     impulse per echo, the lattice deposits one per output time step.
-    ``dtype`` sets the rendered grid's precision (timing/amplitude
-    arithmetic stays float64; only the deposit accumulates narrower).
     """
     c = times.shape[0]
-    h = np.zeros((c, n_out), dtype=dtype)
+    h = np.zeros((c, n_out))
     pos = times / grid_dt
     idx0 = np.floor(pos).astype(int)
     frac = pos - idx0
@@ -146,57 +144,6 @@ class LatticeEngine:
             )
 
     # ------------------------------------------------------------------
-    # the reference kernel (original scalar loop, kept as ground truth)
-    # ------------------------------------------------------------------
-    def scalar_impulse_sequence(
-        self, profile: ImpedanceProfile, n_steps: Optional[int] = None
-    ) -> Waveform:
-        """Reference implementation: the per-step scalar Python loop.
-
-        Kept verbatim as the ground truth the vectorised kernel is pinned
-        against (``tests/property/test_engine_equivalence.py`` asserts
-        bitwise equality per batch row) and as the baseline
-        ``benchmarks/bench_physics_kernels.py`` measures speedup from.
-        """
-        tau = self._uniform_tau(profile)
-        s = profile.n_segments
-        if n_steps is None:
-            n_steps = self._default_steps(s)
-        r = profile.reflection_coefficients()
-        r_src = profile.source_reflection()
-        r_load = profile.load_reflection()
-        loss = profile.loss_per_segment
-
-        # State at integer time k (in units of the segment delay):
-        #   fwd[i] — forward wave at the left edge of segment i,
-        #   bwd[i] — backward wave at the right edge of segment i.
-        # One step propagates each wave across one segment (applying loss)
-        # and scatters at the interface it reaches.  The echo from interface
-        # i/(i+1) therefore arrives back at the source at step 2*(i+1),
-        # matching the BornEngine timing convention.
-        fwd = np.zeros(s)
-        bwd = np.zeros(s)
-        fwd[0] = 1.0
-        out = np.zeros(n_steps)
-        for k in range(1, n_steps):
-            fa = fwd * loss
-            ba = bwd * loss
-            # The backward wave leaving segment 0 reaches the source now.
-            out[k] = ba[0]
-            new_f = np.zeros(s)
-            new_b = np.zeros(s)
-            # Interior interfaces: left input fa[i], right input ba[i+1].
-            if s > 1:
-                new_f[1:] = (1.0 + r) * fa[:-1] - r * ba[1:]
-                new_b[:-1] = r * fa[:-1] + (1.0 - r) * ba[1:]
-            # Load end: forward wave reflects off the termination.
-            new_b[-1] += r_load * fa[-1]
-            # Source end: backward wave re-reflects off the driver.
-            new_f[0] += r_src * ba[0]
-            fwd, bwd = new_f, new_b
-        return Waveform(out, tau)
-
-    # ------------------------------------------------------------------
     # the batched kernel
     # ------------------------------------------------------------------
     @staticmethod
@@ -213,8 +160,8 @@ class LatticeEngine:
         The k-loop survives (the recursion is inherently sequential in
         time) but every step is one set of whole-batch array operations
         into preallocated buffers — no per-step allocation.  Per row the
-        element-wise operations and their order match
-        :meth:`scalar_impulse_sequence` exactly, so each output row is
+        element-wise operations and their order match the scalar-loop
+        oracle in ``tests/oracles.py`` exactly, so each output row is
         bit-for-bit the scalar result (IEEE arithmetic is deterministic;
         ``y + x`` where the scalar computes ``x + y`` is the one reordering
         used, and float addition is commutative).
@@ -279,16 +226,12 @@ class LatticeEngine:
         *,
         r_src=0.0,
         n_steps: Optional[int] = None,
-        dtype=float,
     ) -> np.ndarray:
         """Lattice reflection sequences for a batch of states, ``(C, N)``.
 
         API parity with :meth:`BornEngine.batch_impulse_sequences`; extra
         keyword-only knobs expose the lattice-specific inputs (``r_src``
-        re-reflection at the driver, explicit step count).  ``dtype``
-        narrows only the *rendered* output grid; the time-stepper itself
-        always runs float64 so its bitwise pin against the scalar
-        reference loop is dtype-independent.
+        re-reflection at the driver, explicit step count).
 
         On the native grid (``grid_dt is None``) all rows must share one
         segment delay (the common output grid) and the result has one
@@ -310,10 +253,9 @@ class LatticeEngine:
                 )
             if n_steps is None:
                 n_steps = n_out if n_out is not None else self._default_steps(s)
-            seq = self._batch_lattice_sequences(
+            return self._batch_lattice_sequences(
                 z2, r_load, r_src, loss, n_steps, tap="source"
             )
-            return seq.astype(dtype, copy=False)
         if n_steps is None:
             n_steps = self._default_steps(s)
             if n_out is not None:
@@ -331,7 +273,7 @@ class LatticeEngine:
             z2, r_load, r_src, loss, n_steps, tap="source"
         )
         times = taus[:, None] * np.arange(n_steps)[None, :]
-        return _deposit_impulses(times, seq, self.grid_dt, n_out, dtype=dtype)
+        return _deposit_impulses(times, seq, self.grid_dt, n_out)
 
     def batch_reflection_responses(
         self,
@@ -343,7 +285,6 @@ class LatticeEngine:
         n_out: Optional[int] = None,
         *,
         r_src=0.0,
-        dtype=float,
     ) -> np.ndarray:
         """Reflected waveforms for a batch of states, shape ``(C, N)``."""
         z2, tau2, taus = self._batch_states(z, tau)
@@ -353,18 +294,14 @@ class LatticeEngine:
                 span = 2.0 * float(np.max(np.sum(tau2, axis=1)))
                 n_out = int(np.ceil(span / self.grid_dt)) + len(incident) + 2
             h = self.batch_impulse_sequences(
-                z2, tau2, r_load, loss, n_out=n_out, r_src=r_src, dtype=dtype
+                z2, tau2, r_load, loss, n_out=n_out, r_src=r_src
             )
-            return batch_convolve_full(
-                h, incident.samples, dtype=dtype
-            )[:, :n_out]
+            return batch_convolve_full(h, incident.samples)[:, :n_out]
         self._validate_grid(incident.dt, taus, "segment delay")
         h = self.batch_impulse_sequences(
-            z2, tau2, r_load, loss, n_out=n_out, r_src=r_src, dtype=dtype
+            z2, tau2, r_load, loss, n_out=n_out, r_src=r_src
         )
-        return batch_convolve_full(
-            h, incident.samples, dtype=dtype
-        )[:, : h.shape[1]]
+        return batch_convolve_full(h, incident.samples)[:, : h.shape[1]]
 
     # ------------------------------------------------------------------
     # single-profile surface
@@ -540,15 +477,12 @@ class BornEngine:
         r_load,
         loss: float,
         n_out: Optional[int] = None,
-        dtype=float,
     ) -> np.ndarray:
         """Reflection sequences for a batch of line states, shape ``(C, N)``.
 
         Echo amplitudes are deposited onto the analog grid with linear
         interpolation between the two bracketing bins, preserving sub-grid
         timing (the mechanism by which temperature stretch moves echoes).
-        ``dtype`` narrows only the rendered grid; echo timing/amplitude
-        arithmetic stays float64.
         """
         z = np.atleast_2d(np.asarray(z, dtype=float))
         tau = np.atleast_2d(np.asarray(tau, dtype=float))
@@ -560,7 +494,7 @@ class BornEngine:
             amps = amps[:, :-1]
         if n_out is None:
             n_out = int(np.ceil(np.max(times) / self.grid_dt)) + 2
-        return _deposit_impulses(times, amps, self.grid_dt, n_out, dtype=dtype)
+        return _deposit_impulses(times, amps, self.grid_dt, n_out)
 
     # ------------------------------------------------------------------
     def reflection_response(
@@ -588,7 +522,6 @@ class BornEngine:
         loss: float,
         incident: Waveform,
         n_out: Optional[int] = None,
-        dtype=float,
     ) -> np.ndarray:
         """Reflected waveforms for a batch of states, shape ``(C, N)``."""
         if not np.isclose(incident.dt, self.grid_dt, rtol=1e-6, atol=0.0):
@@ -600,11 +533,8 @@ class BornEngine:
         if n_out is None:
             span = 2.0 * float(np.max(np.sum(tau2, axis=1)))
             n_out = int(np.ceil(span / self.grid_dt)) + len(incident) + 2
-        h = self.batch_impulse_sequences(
-            z2, tau2, r_load, loss, n_out=n_out, dtype=dtype
-        )
-        out = batch_convolve_full(h, incident.samples, dtype=dtype)
-        return out[:, :n_out]
+        h = self.batch_impulse_sequences(z2, tau2, r_load, loss, n_out=n_out)
+        return batch_convolve_full(h, incident.samples)[:, :n_out]
 
 
 def reflected_waveform(

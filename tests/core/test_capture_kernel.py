@@ -95,12 +95,6 @@ class TestBinomialCdfTable:
         table = binomial_cdf_table(1024, np.array([0.5]))
         assert table[-1, 0] == pytest.approx(1.0, abs=1e-12)
 
-    def test_float32_mode(self):
-        table = binomial_cdf_table(24, np.array([0.25, 0.75]), dtype=np.float32)
-        assert table.dtype == np.float32
-        ref = binomial_cdf_table(24, np.array([0.25, 0.75]))
-        assert np.allclose(table, ref, atol=1e-6)
-
 
 class TestCaptureKernelStats:
     def test_snapshot_delta_reset(self):

@@ -6,6 +6,7 @@ import pytest
 from repro.core.config import prototype_itdr
 from repro.core.itdr import ITDR, ITDRConfig
 from repro.env.emi import nearby_digital_circuit
+from tests.oracles import grid_capture_stack
 
 
 class TestConfig:
@@ -30,14 +31,6 @@ class TestConfig:
         """(2, 4) reduces to 2 distinct phases — still effective."""
         itdr = ITDR(ITDRConfig(pdm_vernier=(2, 4)))
         assert itdr.pdm.n_levels >= 2
-
-    def test_capture_kernel_and_dtype_validated(self):
-        with pytest.raises(ValueError):
-            ITDRConfig(capture_kernel="warp")
-        with pytest.raises(ValueError):
-            ITDRConfig(dtype="float16")
-        assert ITDRConfig(dtype="float32").np_dtype == np.float32
-        assert ITDRConfig().np_dtype == np.float64
 
 
 class TestGeometry:
@@ -122,18 +115,16 @@ class TestCapture:
         """repetitions=2048 used to raise OverflowError building the
         binomial inverse-CDF via ``math.comb`` term products (bare-APC
         mode puts all 2048 trials on one comparator level); the stable
-        CDF path must survive it in both kernel configurations."""
+        CDF path must survive it in the fused kernel and the dense-grid
+        oracle alike."""
         fused = prototype_itdr(
             rng=np.random.default_rng(6), repetitions=2048, use_pdm=False
         )
         grid = prototype_itdr(
-            rng=np.random.default_rng(6),
-            repetitions=2048,
-            use_pdm=False,
-            capture_kernel="grid",
+            rng=np.random.default_rng(6), repetitions=2048, use_pdm=False
         )
         a = fused.capture(line).waveform.samples
-        b = grid.capture(line).waveform.samples
+        b = grid_capture_stack(grid, line, 1)[0]
         assert np.isfinite(a).all()
         assert a.tobytes() == b.tobytes()
 
@@ -190,6 +181,8 @@ class TestCaptureBatch:
                 line, 3, z_batch=np.stack([p.z, p.z]),
                 tau_batch=np.stack([p.tau, p.tau]),
             )
+        with pytest.raises(ValueError, match="z_batch is required"):
+            itdr.capture_batch(line, 2, tau_batch=np.stack([p.tau, p.tau]))
 
 
 class TestBudget:

@@ -146,13 +146,6 @@ class TestSharedTelemetrySurface:
             assert snap["cadence"]["checks_run"] > 0, name
 
     def test_events_are_canonical_monitor_events(self, workloads):
-        # The PR-2 compatibility aliases survive but warn on use.
-        with pytest.deprecated_call():
-            from repro.iolink.protected import LinkEvent
-        assert LinkEvent is MonitorEvent
-        with pytest.deprecated_call():
-            from repro.membus import MonitorEvent as MembusMonitorEvent
-        assert MembusMonitorEvent is MonitorEvent
         for name, workload in workloads.items():
             for event in workload.telemetry.log:
                 assert type(event) is MonitorEvent, name

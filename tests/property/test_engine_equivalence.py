@@ -5,7 +5,7 @@ fused capture kernel riding on top of either engine):
 
 (a) **Exactness** — :meth:`LatticeEngine.batch_impulse_sequences` is a
     pure vectorisation of the reference scalar loop
-    (:meth:`LatticeEngine.scalar_impulse_sequence`): every batch row is
+    (``tests/oracles.scalar_impulse_sequence``): every batch row is
     *bit-for-bit* the scalar result, for any impedance profile, loss,
     source re-reflection, and load termination.  This is what lets the
     fast kernel replace the loop everywhere without re-pinning a single
@@ -21,8 +21,9 @@ fused capture kernel riding on top of either engine):
 
 (c) **Capture fusion** — whichever engine renders the reflection, the
     fused count-only capture kernel is bit-for-bit the dense-grid
-    estimate path.  The kernel only changes how comparator counts are
-    materialised, never which physics produced the waveform under them.
+    estimator (``tests/oracles.grid_capture_stack``).  The kernel only
+    changes how comparator counts are materialised, never which physics
+    produced the waveform under them.
 """
 
 import numpy as np
@@ -32,6 +33,7 @@ from hypothesis import strategies as st
 from repro.core.config import prototype_itdr
 from repro.txline.profile import ImpedanceProfile
 from repro.txline.propagation import BornEngine, LatticeEngine
+from tests.oracles import grid_capture_stack, scalar_impulse_sequence
 
 TAU = 11.16e-12
 
@@ -72,7 +74,7 @@ class TestBatchedMatchesScalar:
     ):
         p = profile_from(eps, z_load_rel, z_src_rel, loss, stretch)
         engine = LatticeEngine()
-        reference = engine.scalar_impulse_sequence(p)
+        reference = scalar_impulse_sequence(engine, p)
         batched = engine.batch_impulse_sequences(
             p.z[None, :],
             p.tau[None, :],
@@ -112,7 +114,7 @@ class TestBatchedMatchesScalar:
             r_src=np.array([p.source_reflection() for p in profiles]),
         )
         for row, p in zip(batched, profiles):
-            reference = engine.scalar_impulse_sequence(p)
+            reference = scalar_impulse_sequence(engine, p)
             assert row.tobytes() == reference.samples.tobytes()
 
 
@@ -185,13 +187,11 @@ class TestFusedCaptureMatchesGridOnBothEngines:
     @settings(max_examples=16, deadline=None)
     def test_capture_stack_bitwise_equal(self, line, seed, n_captures, engine):
         fused = prototype_itdr(rng=np.random.default_rng(seed))
-        grid = prototype_itdr(
-            rng=np.random.default_rng(seed), capture_kernel="grid"
-        )
+        grid = prototype_itdr(rng=np.random.default_rng(seed))
         a = fused.capture_stack(line, n_captures, engine=engine)
-        b = grid.capture_stack(line, n_captures, engine=engine)
+        b = grid_capture_stack(grid, line, n_captures, engine=engine)
         assert fused.kernel_stats.fused_calls == 1
-        assert grid.kernel_stats.grid_calls == 1
+        assert fused.kernel_stats.grid_calls == 0
         assert a.tobytes() == b.tobytes()
 
     @given(seed=st.integers(0, 2**31 - 1))
@@ -201,10 +201,8 @@ class TestFusedCaptureMatchesGridOnBothEngines:
         — a stale CDF table for the other engine's waveform would break
         byte-identity immediately."""
         fused = prototype_itdr(rng=np.random.default_rng(seed))
-        grid = prototype_itdr(
-            rng=np.random.default_rng(seed), capture_kernel="grid"
-        )
+        grid = prototype_itdr(rng=np.random.default_rng(seed))
         for engine in ("born", "lattice", "born", "lattice"):
             a = fused.capture_stack(line, 2, engine=engine)
-            b = grid.capture_stack(line, 2, engine=engine)
+            b = grid_capture_stack(grid, line, 2, engine=engine)
             assert a.tobytes() == b.tobytes()

@@ -2,23 +2,12 @@
 
 The fused kernel computes comparator decision counts directly from the
 cached reflection response and the per-level binomial CDF tables —
-skipping the dense probability-grid render entirely.  Its contract:
-
-(a) **Exactness** — with the default float64 dtype, a fused
-    ``capture_stack`` is *bit-for-bit* the grid-path result for any
-    seed, stack height, and repetition budget.  The kernel consumes the
-    RNG stream identically (one uniform block per active reference
-    level, in ascending level order), so no regression baseline moves.
-
-(b) **Fallback identity** — under phase jitter or EMI interference the
-    fused-config iTDR takes the same dense path the grid-config iTDR
-    does, so the two stay bitwise identical there too (the gate never
-    changes which physics runs, only how counts are materialised).
-
-(c) **float32 fidelity** — the reduced-bandwidth dtype stays within
-    single-precision rounding of the float64 reference on the decision
-    probabilities, so its capture statistics agree to well under the
-    comparator noise floor.
+skipping the dense probability-grid render entirely.  Its contract is
+**exactness**: a fused ``capture_stack`` is *bit-for-bit* the dense-grid
+estimator (``tests/oracles.grid_capture_stack``) for any seed, stack
+height, and repetition budget.  The kernel consumes the RNG stream
+identically (one uniform block per active reference level, in ascending
+level order), so no regression baseline moves.
 """
 
 import numpy as np
@@ -26,10 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import prototype_itdr
+from tests.oracles import grid_capture_stack
 
 
 class TestFusedIsBitwiseGrid:
-    """(a): fused float64 ≡ grid float64, bit for bit."""
+    """Fused ≡ the dense-grid oracle, bit for bit."""
 
     @given(
         seed=st.integers(0, 2**31 - 1),
@@ -44,12 +34,10 @@ class TestFusedIsBitwiseGrid:
             rng=np.random.default_rng(seed), repetitions=repetitions
         )
         grid = prototype_itdr(
-            rng=np.random.default_rng(seed),
-            repetitions=repetitions,
-            capture_kernel="grid",
+            rng=np.random.default_rng(seed), repetitions=repetitions
         )
         a = fused.capture_stack(line, n_captures)
-        b = grid.capture_stack(line, n_captures)
+        b = grid_capture_stack(grid, line, n_captures)
         assert a.tobytes() == b.tobytes()
 
     @given(seed=st.integers(0, 2**31 - 1), n_captures=st.integers(1, 16))
@@ -57,13 +45,9 @@ class TestFusedIsBitwiseGrid:
     def test_bare_apc_stack_bitwise_equal(self, line, seed, n_captures):
         """The single-level (no PDM) kernel shares the same stream."""
         fused = prototype_itdr(rng=np.random.default_rng(seed), use_pdm=False)
-        grid = prototype_itdr(
-            rng=np.random.default_rng(seed),
-            use_pdm=False,
-            capture_kernel="grid",
-        )
+        grid = prototype_itdr(rng=np.random.default_rng(seed), use_pdm=False)
         a = fused.capture_stack(line, n_captures)
-        b = grid.capture_stack(line, n_captures)
+        b = grid_capture_stack(grid, line, n_captures)
         assert a.tobytes() == b.tobytes()
 
     @given(seed=st.integers(0, 2**31 - 1))
@@ -71,68 +55,11 @@ class TestFusedIsBitwiseGrid:
     def test_interleaved_lines_share_one_table_cache(
         self, line, other_line, seed
     ):
-        """Alternating lines exercises the LRU table cache without
-        breaking stream identity with the grid path."""
+        """Alternating lines rebuilds the one-entry table memo on every
+        call without breaking stream identity with the oracle."""
         fused = prototype_itdr(rng=np.random.default_rng(seed))
-        grid = prototype_itdr(
-            rng=np.random.default_rng(seed), capture_kernel="grid"
-        )
+        grid = prototype_itdr(rng=np.random.default_rng(seed))
         for target in (line, other_line, line, other_line):
             a = fused.capture_stack(target, 3)
-            b = grid.capture_stack(target, 3)
+            b = grid_capture_stack(grid, target, 3)
             assert a.tobytes() == b.tobytes()
-
-
-class TestFallbackIdentity:
-    """(b): jitter / interference routes both configs to one dense path."""
-
-    @given(seed=st.integers(0, 2**31 - 1))
-    @settings(max_examples=8, deadline=None)
-    def test_jitter_path_bitwise_equal(self, line, seed):
-        fused = prototype_itdr(
-            rng=np.random.default_rng(seed), phase_jitter_rms=1.5e-12
-        )
-        grid = prototype_itdr(
-            rng=np.random.default_rng(seed),
-            phase_jitter_rms=1.5e-12,
-            capture_kernel="grid",
-        )
-        a = fused.capture_stack(line, 4)
-        b = grid.capture_stack(line, 4)
-        assert fused.kernel_stats.fused_calls == 0
-        assert a.tobytes() == b.tobytes()
-
-    @given(seed=st.integers(0, 2**31 - 1))
-    @settings(max_examples=8, deadline=None)
-    def test_interference_path_bitwise_equal(self, line, seed):
-        from repro.env.emi import nearby_digital_circuit
-
-        fused = prototype_itdr(rng=np.random.default_rng(seed))
-        grid = prototype_itdr(
-            rng=np.random.default_rng(seed), capture_kernel="grid"
-        )
-        emi = nearby_digital_circuit()
-        a = fused.capture_stack(line, 4, interference=emi)
-        b = grid.capture_stack(line, 4, interference=emi)
-        assert fused.kernel_stats.fused_calls == 0
-        assert a.tobytes() == b.tobytes()
-
-
-class TestFloat32Fidelity:
-    """(c): the bandwidth-saving dtype stays statistically faithful."""
-
-    @given(seed=st.integers(0, 2**31 - 1))
-    @settings(max_examples=6, deadline=None)
-    def test_stack_mean_within_quantisation(self, line, seed):
-        f32 = prototype_itdr(rng=np.random.default_rng(seed), dtype="float32")
-        f64 = prototype_itdr(rng=np.random.default_rng(seed))
-        a = f32.capture_stack(line, 48)
-        b = f64.capture_stack(line, 48)
-        assert a.dtype == np.float32
-        assert b.dtype == np.float64
-        # Per-point averaged waveforms agree to well under the
-        # comparator noise sigma (3e-3): float32 only perturbs decision
-        # probabilities at the 1e-7 level, which the 48-capture average
-        # turns into at most a few count flips per point.
-        noise = f64.config.noise_sigma
-        assert np.max(np.abs(a.mean(0) - b.mean(0))) < noise

@@ -197,3 +197,43 @@ class TestImportLayers:
                 assert top in stdlib_ok | {"repro", "signals", ""}, (
                     f"{path.relative_to(SRC)} imports {name}"
                 )
+
+
+#: The physical fields of an iTDR: the capture kernel and the precision
+#: are not configuration.
+PHYSICAL_ITDR_FIELDS = {
+    "clock_frequency", "phase_step", "repetitions", "noise_sigma",
+    "comparator_offset", "coupling", "use_pdm", "pdm_amplitude",
+    "pdm_vernier", "edge_rise_time", "edge_amplitude", "trigger",
+    "record_margin", "phase_jitter_rms",
+}
+
+
+def test_reference_paths_live_in_tests():
+    """Reference implementations kept only to be compared against live
+    in ``tests/oracles.py``: no kernel switch or precision knob on the
+    iTDR, no scalar lattice loop on the engine, and no ``dtype``
+    parameter anywhere in the physics and capture layers."""
+    import dataclasses
+
+    from repro.core.itdr import ITDRConfig
+    from repro.txline.propagation import LatticeEngine
+
+    names = {f.name for f in dataclasses.fields(ITDRConfig)}
+    assert names == PHYSICAL_ITDR_FIELDS
+    assert not hasattr(LatticeEngine, "scalar_impulse_sequence")
+    offenders = []
+    for package in ("core", "txline", "signals"):
+        for path in modules_of(package):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(
+                    node, (ast.FunctionDef, ast.AsyncFunctionDef)
+                ):
+                    continue
+                args = node.args
+                params = args.posonlyargs + args.args + args.kwonlyargs
+                if any(arg.arg == "dtype" for arg in params):
+                    offenders.append(
+                        f"{path.relative_to(SRC)}:{node.lineno} {node.name}"
+                    )
+    assert not offenders, offenders
