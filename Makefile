@@ -27,3 +27,4 @@ examples:
 	python examples/environment_sweep.py
 	python examples/serial_link_protection.py
 	python examples/fleet_operations.py
+	python examples/protocol_zoo.py

@@ -11,12 +11,15 @@ of the cached reflection response and the iTDR configuration.
 This module memoises it.  :class:`FusedCountKernel` keeps the per-level
 decision probabilities and binomial CDF tables of the last line state it
 measured, keyed by the same content-addressed key the solve memo uses,
-plus one ``(repetitions + 1)``-entry count→voltage lookup, then draws all
-reference levels' counts in one vectorised pass.  The kernel consumes the
-generator stream in exactly the order the dense-grid estimator does (one
-uniform block per active reference level, compared against the same CDF
-bits), so its output is *byte-identical* to that estimator — kept as the
-oracle ``tests/oracles.grid_capture_stack`` and pinned in
+then draws all reference levels' counts in one vectorised pass.  The
+levels, their trial split and the ``(repetitions + 1)``-entry
+count→voltage lookup all come from the iTDR's
+:class:`~repro.core.apc.ReferenceLadder`, the count chain the dense path
+uses too.  The kernel consumes the generator stream in exactly the order
+the dense-grid estimator does (one uniform block per active reference
+level, compared against the same CDF bits), so its output is
+*byte-identical* to that estimator — kept as the oracle
+``tests/oracles.grid_capture_stack`` and pinned in
 ``tests/property/test_fused_capture.py`` — while skipping the table
 rebuild on every repeat capture of a state.  Every capture is float64.
 
@@ -34,12 +37,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy.stats import binom as _binom
 
-from .comparator import Comparator
+from .apc import ReferenceLadder
 
 __all__ = [
     "EXACT_PMF_MAX_TRIALS",
@@ -158,9 +161,9 @@ class FusedCountKernel:
     the per-level decision probabilities and binomial CDF tables of one
     line state — the last one measured, identified by the iTDR's
     content-addressed solve key — computed from the cached reflection
-    response, plus one count→voltage lookup shared across states.
-    :meth:`estimate` then produces a ``(C, N)`` estimate matrix without
-    touching the dense-grid pipeline.
+    response, plus the ladder's count→voltage lookup, shared across
+    states.  :meth:`estimate` then produces a ``(C, N)`` estimate matrix
+    without touching the dense-grid pipeline.
 
     The table memo holds one entry on purpose.  Repeat captures of one
     state (averaging, monitoring, enrollment) hit it; a fleet visiting its
@@ -180,52 +183,33 @@ class FusedCountKernel:
 
     def __init__(
         self,
-        comparator: Comparator,
-        levels: Sequence[float],
+        ladder: ReferenceLadder,
         repetitions: int,
-        invert: Callable[[np.ndarray], np.ndarray],
         budget: int = 4_000_000,
     ) -> None:
-        if repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
-        self.comparator = comparator
-        self.repetitions = repetitions
+        self.ladder = ladder
         self._budget = budget
-        # The Vernier trial split: repetitions distributed over the sorted
-        # reference ladder as evenly as integer division allows, remainder
-        # on the first levels — matching PDMScheme.measure_counts and the
-        # dense-grid estimator exactly.  Levels left with zero trials are
-        # dropped (they draw nothing on either path).
-        levels = np.sort(np.asarray(levels, dtype=float))
-        base, extra = divmod(repetitions, len(levels))
+        # The ladder's trial split, in ascending-level order.  Levels left
+        # with zero trials are dropped (they draw nothing on either path).
         self._active: List[Tuple[float, int]] = [
-            (float(level), base + (1 if j < extra else 0))
-            for j, level in enumerate(levels)
-            if base + (1 if j < extra else 0) > 0
+            (float(level), int(n_j))
+            for level, n_j in zip(
+                ladder.reference_levels(), ladder.trial_split(repetitions)
+            )
+            if n_j
         ]
-        # Count -> voltage estimate, the (r+1)-entry closed form of the
-        # mixture-CDF inversion: lookup[c] is bitwise what invert(c / r)
-        # returns, because both clip and interpolate elementwise on the
-        # identical quotient.
-        self._lookup = np.asarray(
-            invert(np.arange(repetitions + 1) / repetitions), dtype=float
-        )
+        self._lookup = ladder.count_lookup(repetitions)
         #: The one-entry table memo: ``(key, tables)`` of the last state.
         self._last: Optional[Tuple[object, _LevelTables]] = None
 
     # ------------------------------------------------------------------
-    @property
-    def count_lookup(self) -> np.ndarray:
-        """The cached count→voltage table (exposed for tests/benchmarks)."""
-        return self._lookup
-
     def _build_tables(self, v_samples: np.ndarray) -> _LevelTables:
         n_points = len(v_samples)
         max_nj = max(n_j for _, n_j in self._active)
         cdf_pad = np.full((len(self._active), max_nj, n_points), _PAD)
         probs = []
         for j, (level, n_j) in enumerate(self._active):
-            p = self.comparator.probability_of_one(v_samples, level)
+            p = self.ladder.comparator.probability_of_one(v_samples, level)
             probs.append(p)
             cdf_pad[j, :n_j] = binomial_cdf_table(n_j, p)
         return _LevelTables(

@@ -111,21 +111,14 @@ class DivotEndpoint:
         """Enrollment: measure, average, store, enter monitoring.
 
         Performed at manufacturing or installation time (paper III,
-        "Calibration process").  The enrollment captures come from one
-        batch-engine call — one physics solve for the whole averaging run.
+        "Calibration process").  The one-lane :meth:`calibrate_many`: the
+        enrollment captures come from one batch-engine call — one physics
+        solve for the whole averaging run.
         """
-        if n_captures < 1:
-            raise ValueError("n_captures must be >= 1")
-        stack = self.itdr.capture_stack(line, n_captures, engine=engine)
-        fingerprint = Fingerprint.from_stack(
-            stack,
-            dt=self.itdr.pll.phase_step,
-            name=line.name,
-            enrolled_temperature_c=temperature_c,
-        )
-        self.rom.store(fingerprint)
-        self.state = EndpointState.MONITORING
-        return fingerprint
+        return self.calibrate_many(
+            [line], n_captures=n_captures, temperature_c=temperature_c,
+            engine=engine,
+        )[0]
 
     # ------------------------------------------------------------------
     def monitor_capture(
@@ -144,40 +137,13 @@ class DivotEndpoint:
         * tamper signature with valid authentication -> ALERT (sensitive
           data protection hooks go here) while continuing to monitor;
         * clean capture -> PROCEED, and a blocked endpoint recovers.
+
+        The one-lane :meth:`monitor_multi`.
         """
-        if self.state is EndpointState.UNCALIBRATED:
-            raise RuntimeError(
-                f"endpoint {self.name!r} must calibrate before monitoring"
-            )
-        reference = self.rom.load(line.name)
-        capture = self.itdr.capture_averaged(
-            line,
-            self.captures_per_check,
-            modifiers=modifiers,
-            interference=interference,
+        return self.monitor_multi(
+            [line], modifiers=modifiers, interference=interference,
             engine=engine,
         )
-        auth = self.authenticator.decide(capture, reference)
-        tamper = self.tamper_detector.check(capture, reference)
-        if not auth.accepted:
-            action = Action.BLOCK
-            self.state = EndpointState.BLOCKED
-        elif tamper.tampered:
-            action = Action.ALERT
-            self.state = EndpointState.MONITORING
-        else:
-            action = Action.PROCEED
-            self.state = EndpointState.MONITORING
-        result = MonitorResult(
-            capture=capture,
-            auth=auth,
-            tamper=tamper,
-            action=action,
-            state=self.state,
-        )
-        if action is not Action.PROCEED:
-            self.alert_log.append(result)
-        return result
 
     @property
     def is_blocked(self) -> bool:

@@ -54,6 +54,9 @@ __all__ = [
 #: Fault kinds the injector understands.
 FAULT_KINDS = ("crash", "error", "hang", "slow")
 
+#: Shard operations a fault can fire in (the fleet's shard task modes).
+FAULT_MODES = ("enroll", "scan", "identify")
+
 #: ``ShardHealth.outcome`` label for a shard rescued by the parent.
 SERIAL_FALLBACK = "serial_fallback"
 
@@ -192,9 +195,11 @@ class FaultSpec:
             identical mechanics, named for intent: a hang is sized past
             the shard timeout, a slowdown inside it).
         shard: The shard index the fault targets.
-        mode: The operation it fires in (``"scan"`` or ``"enroll"``).
+        mode: The shard operation it fires in (``"enroll"``, ``"scan"``
+            or ``"identify"``).
         attempts: Attempt numbers it fires on (first attempt is 0; the
-            serial fallback runs as attempt ``max_retries + 1``).
+            serial fallback runs as attempt ``max_retries + 1``); none
+            may be negative.
         seconds: Sleep duration for ``hang``/``slow``.
     """
 
@@ -209,6 +214,10 @@ class FaultSpec:
             raise ValueError(f"kind must be one of {FAULT_KINDS}")
         if self.shard < 0:
             raise ValueError("shard must be >= 0")
+        if self.mode not in FAULT_MODES:
+            raise ValueError(f"mode must be one of {FAULT_MODES}")
+        if any(attempt < 0 for attempt in self.attempts):
+            raise ValueError("attempts must be >= 0")
         if self.seconds < 0:
             raise ValueError("seconds must be >= 0")
 

@@ -3,14 +3,15 @@
 The iTDR chains every mechanism of the DIVOT architecture:
 
     probe edge (live bus traffic)  -> Tx-line back-reflection (physics)
-    -> directional coupler pick-off -> comparator + PDM reference ladder
+    -> directional coupler pick-off -> comparator + reference ladder
     -> ones counting over repeated triggers (APC)
     -> mixture-CDF inversion -> IIP waveform estimate on the ETS grid
 
 A :class:`capture` is one complete IIP measurement: the digital artefact
 that authentication and tamper detection consume.  The batch path runs
 thousands of captures with per-capture perturbed line states in vectorised
-numpy — the workhorse of the statistical experiments.
+numpy — the workhorse of the statistical experiments.  Every path counts
+against, and inverts through, the iTDR's one reference ladder.
 """
 
 from __future__ import annotations
@@ -24,11 +25,10 @@ import numpy as np
 from ..signals.edges import EdgeShape
 from ..signals.waveform import Waveform
 from ..txline.line import TransmissionLine
-from .apc import APCConverter
 from .capturekernel import CaptureKernelStats, FusedCountKernel
 from .comparator import Comparator
 from .ets import ETSSampler, PhaseSteppingPLL
-from .pdm import PDMScheme, TriangleWave, VernierRelation
+from .pdm import reference_ladder
 from .solvecache import process_solve_cache
 from .trigger import TriggerGenerator
 
@@ -140,6 +140,10 @@ class MeasurementBudget:
 class ITDR:
     """An integrated TDR instance attached to one bus interface.
 
+    ``ladder`` is its :class:`~repro.core.apc.ReferenceLadder` (PDM's
+    Vernier levels, or bare APC's one level): both capture kernels take
+    their levels, trial split and count-to-volt inversion from it.
+
     Args:
         config: Static configuration.
         rng: Random source for comparator noise (seed it for reproducible
@@ -170,41 +174,12 @@ class ITDR:
         # Prefix of the content-addressed key under which this iTDR's
         # solves live in the process-wide solve memo (see _solve_key).
         self._solve_key_prefix: Optional[tuple] = None
-        if config.use_pdm:
-            p, q = config.pdm_vernier
-            relation = VernierRelation(p, q)
-            if not relation.is_effective:
-                raise ValueError(
-                    "pdm_vernier must be a non-degenerate (relatively prime, "
-                    "q > 1) relation; f_m = f_s removes PDM's effect entirely"
-                )
-            wave = TriangleWave(
-                amplitude=config.pdm_amplitude,
-                frequency=config.clock_frequency * p / q,
-            )
-            self.pdm: Optional[PDMScheme] = PDMScheme(
-                wave, relation, self.comparator
-            )
-            self.apc: Optional[APCConverter] = None
-        else:
-            self.pdm = None
-            self.apc = APCConverter(self.comparator, v_ref=0.0)
+        self.ladder = reference_ladder(config, self.comparator)
         #: Which kernel did the work, and whether any dense-grid waveform
         #: was rendered — the fusion's regression surface (fleet dispatch
         #: ships worker deltas home into telemetry).
         self.kernel_stats = CaptureKernelStats()
-        inverter = self.pdm if self.pdm is not None else self.apc
-        levels = (
-            self.pdm.reference_levels()
-            if self.pdm is not None
-            else np.array([0.0])
-        )
-        self._fused = FusedCountKernel(
-            comparator=self.comparator,
-            levels=levels,
-            repetitions=config.repetitions,
-            invert=inverter.invert,
-        )
+        self._fused = FusedCountKernel(self.ladder, config.repetitions)
         self._probe_edge: Optional[Waveform] = None
 
     # ------------------------------------------------------------------
@@ -413,20 +388,13 @@ class ITDR:
     ) -> IIPCapture:
         """One complete IIP measurement of ``line`` under ``modifiers``.
 
-        A single-row :meth:`capture_stack` dressed with measurement
-        metadata (trigger and wall-clock budgets).
+        The one-capture :meth:`capture_averaged`: a single-row
+        :meth:`capture_stack` dressed with measurement metadata (trigger
+        and wall-clock budgets).
         """
-        est = self.capture_stack(
+        return self.capture_averaged(
             line, 1, modifiers=modifiers, interference=interference,
             engine=engine,
-        )[0]
-        true_wave = self.true_reflection(line, modifiers, engine=engine)
-        budget = self.budget(len(est))
-        return IIPCapture(
-            waveform=Waveform(est, self.pll.phase_step, true_wave.t0),
-            line_name=line.name,
-            n_triggers=budget.n_triggers,
-            duration_s=budget.duration_s,
         )
 
     def capture_averaged(
@@ -509,60 +477,34 @@ class ITDR:
     def _estimate_batch(
         self, v_batch: np.ndarray, interference=None
     ) -> np.ndarray:
-        """Vectorised APC/PDM estimation over a (C, N) voltage matrix.
+        """Vectorised ladder estimation over a (C, N) voltage matrix.
 
         This is the dense path: per-call probability tables over the full
         voltage matrix.  It serves only the rows that differ capture to
         capture — jitter, interference and per-capture ``z_batch`` states
-        — so every row draws its own binomial counts per reference level.
+        — so every row draws its own binomial counts per reference level
+        (:meth:`~repro.core.apc.ReferenceLadder.measure_counts`).
+
+        Interference shifts the mean seen on each trial, so the binomial
+        shortcut does not apply: the Bernoulli trials are drawn
+        explicitly against the per-trial Vernier reference, for all
+        captures at once.  EMI trigger samples are i.i.d. per trigger
+        instant, so drawing ``C * N`` points in one call is distributed
+        exactly like ``C`` separate per-capture draws.
         """
         self.kernel_stats.grid_calls += 1
         self.kernel_stats.grid_captures += int(np.shape(v_batch)[0])
         v_batch = self._apply_jitter(np.asarray(v_batch, dtype=float))
         r = self.config.repetitions
-        if interference is not None:
-            return self._estimate_batch_with_interference(v_batch, interference)
-        if self.pdm is not None:
-            levels = self.pdm.reference_levels()
-            split = self.pdm.trial_split(r)
-            counts = np.zeros(v_batch.shape, dtype=np.int64)
-            for level, n_j in zip(levels, split):
-                if n_j:
-                    counts += self.comparator.count_ones(
-                        v_batch, level, int(n_j), self.rng
-                    )
-            flat = self.pdm.invert((counts / r).ravel())
+        if interference is None:
+            counts = self.ladder.measure_counts(v_batch, r, self.rng)
         else:
-            counts = self.comparator.count_ones(v_batch, 0.0, r, self.rng)
-            flat = self.apc.invert((counts / r).ravel())
-        return flat.reshape(v_batch.shape)
-
-    def _estimate_batch_with_interference(
-        self, v_batch: np.ndarray, interference
-    ) -> np.ndarray:
-        """Per-trial estimation under an aggressor, over a (C, N) matrix.
-
-        Interference shifts the mean seen on each trial, so the fast
-        binomial shortcut does not apply; the Bernoulli trials are drawn
-        explicitly for all captures at once.  EMI trigger samples are
-        i.i.d. per trigger instant, so drawing ``C * N`` points in one call
-        is distributed exactly like ``C`` separate per-capture draws.
-        """
-        r = self.config.repetitions
-        n_captures, n_points = v_batch.shape
-        emi = interference.trial_voltages(
-            n_captures * n_points, r, self.rng
-        ).reshape(n_captures, n_points, r)
-        if self.pdm is not None:
-            # Per-trial reference ladder (the Vernier cycling), shared by
-            # every (capture, point) pair.
-            refs = self.pdm.reference_trial_voltages(1, r)[0]
-            inverter = self.pdm
-        else:
-            refs = np.zeros(r)
-            inverter = self.apc
-        counts = self.comparator.count_ones_with_interference(
-            v_batch, refs, r, self.rng, interference_trials=emi
-        )
-        flat = inverter.invert((counts / r).ravel())
-        return flat.reshape(v_batch.shape)
+            n_captures, n_points = v_batch.shape
+            emi = interference.trial_voltages(
+                n_captures * n_points, r, self.rng
+            ).reshape(n_captures, n_points, r)
+            counts = self.comparator.count_ones_with_interference(
+                v_batch, self.ladder.reference_trial_voltages(1, r)[0], r,
+                self.rng, interference_trials=emi,
+            )
+        return self.ladder.invert(counts / r)

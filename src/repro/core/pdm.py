@@ -9,7 +9,9 @@ relationship), successive triggers of a fixed waveform point meet the
 triangle at evenly spaced phases, so the point is compared against a uniform
 ladder of reference levels.  The effective transfer curve becomes the
 mixture of the shifted noise CDFs — wide, linear, and designed rather than
-inherited from device physics.
+inherited from device physics.  The counting and inversion are the shared
+:class:`~repro.core.apc.ReferenceLadder`; this module supplies the ladder's
+levels.
 """
 
 from __future__ import annotations
@@ -17,14 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Tuple
 
 import numpy as np
 
-from .apc import MixtureCdfInverter
+from .apc import APCConverter, ReferenceLadder
 from .comparator import Comparator
 
-__all__ = ["TriangleWave", "VernierRelation", "PDMScheme"]
+__all__ = ["TriangleWave", "VernierRelation", "PDMScheme", "reference_ladder"]
 
 
 @dataclass(frozen=True)
@@ -108,8 +109,8 @@ class VernierRelation:
         return np.mod(k * step, 1.0)
 
 
-class PDMScheme:
-    """A complete PDM configuration: wave + Vernier relation + inverter.
+class PDMScheme(ReferenceLadder):
+    """PDM's reference ladder: the triangle wave at the Vernier phases.
 
     Attributes:
         wave: The external modulation wave.
@@ -123,107 +124,29 @@ class PDMScheme:
         relation: VernierRelation,
         comparator: Comparator,
     ) -> None:
+        # Evaluate the triangle at each visited phase (time = phase/f).
+        super().__init__(
+            comparator, wave.value_at(relation.phases() / wave.frequency)
+        )
         self.wave = wave
         self.relation = relation
-        self.comparator = comparator
-        self._inverter = MixtureCdfInverter(
-            self.reference_levels() + comparator.offset,
-            comparator.noise_sigma,
+
+
+def reference_ladder(config, comparator: Comparator) -> ReferenceLadder:
+    """The ladder an :class:`~repro.core.itdr.ITDRConfig` describes: PDM's
+    Vernier ladder around 0 V, or with ``use_pdm=False`` bare APC's single
+    0 V reference (the ablation case)."""
+    if not config.use_pdm:
+        return APCConverter(comparator, v_ref=0.0)
+    p, q = config.pdm_vernier
+    relation = VernierRelation(p, q)
+    if not relation.is_effective:
+        raise ValueError(
+            "pdm_vernier must be a non-degenerate (relatively prime, "
+            "q > 1) relation; f_m = f_s removes PDM's effect entirely"
         )
-
-    # ------------------------------------------------------------------
-    def reference_levels(self) -> np.ndarray:
-        """The distinct reference voltages a fixed waveform point sees."""
-        phases = self.relation.phases()
-        # Evaluate the triangle at each visited phase (time = phase/f).
-        return np.sort(
-            np.asarray(self.wave.value_at(phases / self.wave.frequency))
-        )
-
-    @property
-    def n_levels(self) -> int:
-        """Number of distinct reference levels (q for coprime p, q)."""
-        return len(self.reference_levels())
-
-    def trial_split(self, repetitions: int) -> np.ndarray:
-        """Trials assigned to each sorted reference level, ``(q,)``.
-
-        ``repetitions`` trials distribute over the levels as the Vernier
-        cycling distributes them: as evenly as integer division allows,
-        with the remainder spread over the first levels (exactly what
-        happens when the trial count is not a multiple of q).  Every
-        counting path — looped, batched, and the fused count kernel —
-        shares this split, which is what keeps their statistics (and for
-        the fused/grid pair, their bits) interchangeable.
-        """
-        if repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
-        q = self.n_levels
-        base, extra = divmod(repetitions, q)
-        return base + (np.arange(q) < extra).astype(np.int64)
-
-    # ------------------------------------------------------------------
-    def measure_counts(
-        self,
-        v_true: np.ndarray,
-        repetitions: int,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Total Y=1 counts per point with references cycling per trial.
-
-        References cycle through the sorted ladder with the
-        :meth:`trial_split` allocation of trials per level.
-        """
-        v_true = np.asarray(v_true, dtype=float)
-        levels = self.reference_levels()
-        split = self.trial_split(repetitions)
-        counts = np.zeros(v_true.shape, dtype=np.int64)
-        for level, n_j in zip(levels, split):
-            if n_j:
-                counts += self.comparator.count_ones(
-                    v_true, level, int(n_j), rng
-                )
-        return counts
-
-    def estimate_voltage(
-        self,
-        v_true: np.ndarray,
-        repetitions: int,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Full PDM-APC measurement of a voltage array."""
-        counts = self.measure_counts(v_true, repetitions, rng)
-        return self._inverter.invert(counts / repetitions)
-
-    def invert(self, p_hat) -> np.ndarray:
-        """Mixture-CDF inversion for externally obtained probabilities."""
-        return self._inverter.invert(p_hat)
-
-    def count_lookup(self, repetitions: int) -> np.ndarray:
-        """Count→voltage table — see :meth:`MixtureCdfInverter.count_lookup`."""
-        return self._inverter.count_lookup(repetitions)
-
-    # ------------------------------------------------------------------
-    def linear_window(self, threshold: float = 0.1) -> Tuple[float, float]:
-        """Usable voltage window — widened versus bare APC (Fig. 4)."""
-        return self._inverter.linear_window(threshold)
-
-    @property
-    def dynamic_range(self) -> float:
-        """Width of the linear window in volts."""
-        lo, hi = self.linear_window()
-        return hi - lo
-
-    def reference_trial_voltages(
-        self, n_points: int, n_trials: int
-    ) -> np.ndarray:
-        """Reference voltage for every (point, trial), shape ``(N, R)``.
-
-        Used by the interference-aware measurement path, which needs the
-        per-trial reference explicitly rather than binomial shortcuts.
-        """
-        levels = self.reference_levels()
-        q = len(levels)
-        idx = np.arange(n_trials) % q
-        row = levels[idx]
-        return np.broadcast_to(row, (n_points, n_trials)).copy()
+    wave = TriangleWave(
+        amplitude=config.pdm_amplitude,
+        frequency=config.clock_frequency * p / q,
+    )
+    return PDMScheme(wave, relation, comparator)

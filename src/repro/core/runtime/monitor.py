@@ -70,9 +70,10 @@ class MonitorRuntime:
     ) -> MonitorResult:
         """One monitoring decision at simulated time ``t``.
 
-        ``lines`` is the lane bundle the endpoint measures: a single
-        line takes the single-lane path, several lanes fuse with
-        min-similarity across the bundle.  ``timeline`` (anything with
+        ``lines`` is the lane bundle the endpoint measures, fused with
+        min-similarity across the bundle by one
+        :meth:`~repro.core.divot.DivotEndpoint.monitor_multi` call (a
+        one-lane bundle is the single-lane check).  ``timeline`` (anything with
         ``active_at(t)``) contributes whatever attacks are live at ``t``
         on top of the standing ``modifiers``.
         """
@@ -81,21 +82,13 @@ class MonitorRuntime:
         active = list(modifiers)
         if timeline is not None:
             active.extend(timeline.active_at(t))
-        if len(lines) == 1:
-            result = endpoint.monitor_capture(
-                lines[0],
-                modifiers=active,
-                interference=interference,
-                engine=engine,
-            )
-        else:
-            result = endpoint.monitor_multi(
-                list(lines),
-                modifiers=active,
-                modifiers_by_lane=modifiers_by_lane,
-                interference=interference,
-                engine=engine,
-            )
+        result = endpoint.monitor_multi(
+            list(lines),
+            modifiers=active,
+            modifiers_by_lane=modifiers_by_lane,
+            interference=interference,
+            engine=engine,
+        )
         self.record(
             MonitorEvent.from_result(
                 t, side if side is not None else endpoint.name, result,

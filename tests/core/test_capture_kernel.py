@@ -27,6 +27,7 @@ from repro.core import (
     prototype_itdr_config,
     prototype_line_factory,
 )
+from repro.core.apc import ReferenceLadder
 from repro.core.capturekernel import (
     EXACT_PMF_MAX_TRIALS,
     CaptureKernelStats,
@@ -133,12 +134,11 @@ class TestLevelTables:
     def test_mixed_regime_reads_each_level_from_the_padded_tensor(self):
         """Over-budget levels sample ``rng.binomial``; the rest compare
         against their ``cdf_pad`` rows, in ascending-level order."""
-        kernel = prototype_itdr()._fused
-        n, c, reps = 64, 3, 25  # trials split 5, 4, 4, 4, 4, 4
-        mixed = FusedCountKernel(
-            kernel.comparator, np.linspace(-0.1, 0.1, 6), reps,
-            lambda q: q, budget=4 * c * n,
+        ladder = ReferenceLadder(
+            prototype_itdr().comparator, np.linspace(-0.1, 0.1, 6)
         )
+        n, c, reps = 64, 3, 25  # trials split 5, 4, 4, 4, 4, 4
+        mixed = FusedCountKernel(ladder, reps, budget=4 * c * n)
         v = np.linspace(-0.2, 0.2, n)
         got = mixed.estimate("k", v, c, np.random.default_rng(5),
                              CaptureKernelStats())
@@ -153,7 +153,7 @@ class TestLevelTables:
                 cdf = binomial_cdf_table(n_j, p)
                 u = rng.random((c, n))
                 counts += (u[None] > cdf[:, None]).sum(axis=0)
-        assert got.tobytes() == (counts / reps).tobytes()
+        assert got.tobytes() == ladder.invert(counts / reps).tobytes()
 
     def test_one_entry_memo_rebuilds_on_every_key_change(self):
         """Only the last state's tables are held: A, A, B, A is three

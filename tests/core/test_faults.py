@@ -324,6 +324,16 @@ class TestPolicyAndInjectorValidation:
             FaultSpec(kind="crash", shard=-1)
         with pytest.raises(ValueError):
             FaultSpec(kind="slow", shard=0, seconds=-1.0)
+        # A fault outside every shard operation, or on an attempt that
+        # never runs, would silently never fire.
+        with pytest.raises(ValueError, match="mode"):
+            FaultSpec(kind="error", shard=0, mode="scna")
+        with pytest.raises(ValueError, match="attempts"):
+            FaultSpec(kind="error", shard=0, attempts=(-1,))
+        with pytest.raises(ValueError, match="attempts"):
+            FaultSpec(kind="error", shard=0, attempts=(0, -2))
+        for mode in ("enroll", "scan", "identify"):
+            assert FaultSpec(kind="error", shard=0, mode=mode).mode == mode
 
     def test_injector_schedule_is_a_pure_lookup(self):
         spec = FaultSpec(kind="error", shard=1, mode="scan", attempts=(0, 2))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.apc import APCConverter
 from repro.core.config import prototype_itdr
 from repro.core.itdr import ITDR, ITDRConfig
 from repro.env.emi import nearby_digital_circuit
@@ -30,7 +31,7 @@ class TestConfig:
     def test_non_coprime_vernier_reduced_not_rejected(self):
         """(2, 4) reduces to 2 distinct phases — still effective."""
         itdr = ITDR(ITDRConfig(pdm_vernier=(2, 4)))
-        assert itdr.pdm.n_levels >= 2
+        assert itdr.ladder.n_levels >= 2
 
 
 class TestGeometry:
@@ -102,7 +103,8 @@ class TestCapture:
 
     def test_bare_apc_mode(self, line):
         itdr = prototype_itdr(rng=np.random.default_rng(0), use_pdm=False)
-        assert itdr.pdm is None and itdr.apc is not None
+        assert isinstance(itdr.ladder, APCConverter)
+        assert itdr.ladder.n_levels == 1
         cap = itdr.capture(line)
         assert len(cap.waveform) > 0
 

@@ -209,18 +209,17 @@ class _StubResult:
 
 
 class _StubEndpoint:
-    """Duck-typed endpoint: returns scripted results, records calls."""
+    """Duck-typed endpoint: returns scripted results, records calls.
+
+    It has no ``monitor_capture``: the runtime measures every bundle,
+    one lane or many, through ``monitor_multi``.
+    """
 
     name = "stub"
 
     def __init__(self, results):
         self.results = list(results)
         self.calls = []
-
-    def monitor_capture(self, line, modifiers=(), interference=None,
-                        engine="born"):
-        self.calls.append(("single", line, tuple(modifiers)))
-        return self.results.pop(0)
 
     def monitor_multi(self, lines, modifiers=(), modifiers_by_lane=None,
                       interference=None, engine="born"):
@@ -249,14 +248,17 @@ class TestMonitorRuntime:
         assert runtime.log[0] is telemetry.log[0] is extra[0]
 
     def test_single_vs_multi_lane_dispatch(self):
+        """One ``monitor_multi`` call per check, a one-lane bundle too."""
         endpoint = _StubEndpoint(
             [_StubResult(Action.PROCEED), _StubResult(Action.PROCEED)]
         )
         runtime = MonitorRuntime()
         runtime.check(endpoint, 0.0, ["a"])
         runtime.check(endpoint, 0.0, ["a", "b"])
-        assert endpoint.calls[0][0] == "single"
-        assert endpoint.calls[1][0] == "multi"
+        assert [call[:2] for call in endpoint.calls] == [
+            ("multi", ("a",)),
+            ("multi", ("a", "b")),
+        ]
 
     def test_timeline_resolved_at_check_instant(self):
         endpoint = _StubEndpoint(

@@ -56,27 +56,22 @@ def grid_capture_stack(
 ) -> np.ndarray:
     """``(C, N)`` estimates of one static state on the dense grid.
 
-    Per reference level in ascending order: one ``P(Y=1)`` row for the
-    noiseless reflection, then either a binomial CDF table compared
-    against a ``(C, N)`` uniform block or, past :data:`BERNOULLI_BUDGET`,
-    one ``rng.binomial`` call.  The summed counts are inverted to volts.
-    Consumes ``itdr.rng`` exactly as :meth:`ITDR.capture_stack` does for
-    the same state with no jitter and no interference.
+    Per level of ``itdr.ladder`` in ascending order: one ``P(Y=1)`` row
+    for the noiseless reflection, then either a binomial CDF table
+    compared against a ``(C, N)`` uniform block or, past
+    :data:`BERNOULLI_BUDGET`, one ``rng.binomial`` call.  The summed
+    counts are inverted to volts.  Consumes ``itdr.rng`` exactly as
+    :meth:`ITDR.capture_stack` does for the same state with no jitter and
+    no interference.
     """
     v = itdr.true_reflection(line, modifiers, engine=engine).samples
     r = itdr.config.repetitions
-    if itdr.pdm is not None:
-        counts = np.zeros((n_captures, len(v)), dtype=np.int64)
-        for level, n_j in zip(
-            itdr.pdm.reference_levels(), itdr.pdm.trial_split(r)
-        ):
-            if n_j:
-                counts += _static_counts(itdr, v, n_captures, level, int(n_j))
-        inverter = itdr.pdm
-    else:
-        counts = _static_counts(itdr, v, n_captures, 0.0, r)
-        inverter = itdr.apc
-    return inverter.invert((counts / r).ravel()).reshape(counts.shape)
+    ladder = itdr.ladder
+    counts = np.zeros((n_captures, len(v)), dtype=np.int64)
+    for level, n_j in zip(ladder.reference_levels(), ladder.trial_split(r)):
+        if n_j:
+            counts += _static_counts(itdr, v, n_captures, level, int(n_j))
+    return ladder.invert(counts / r)
 
 
 def scalar_impulse_sequence(

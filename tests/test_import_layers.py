@@ -237,3 +237,39 @@ def test_reference_paths_live_in_tests():
                         f"{path.relative_to(SRC)}:{node.lineno} {node.name}"
                     )
     assert not offenders, offenders
+
+
+def test_one_reference_ladder():
+    """Every count path shares one ladder: the iTDR holds no separate
+    PDM/APC pair, the fused kernel is built from the ladder alone, and
+    the trial split and count-to-volt lookup are defined once, in
+    ``core/apc.py``."""
+    itdr_tree = ast.parse((PKG / "core" / "itdr.py").read_text())
+    pair = [
+        node.lineno for node in ast.walk(itdr_tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("pdm", "apc")
+    ]
+    assert not pair, f"core/itdr.py reads .pdm/.apc at lines {pair}"
+
+    kernel_tree = ast.parse((PKG / "core" / "capturekernel.py").read_text())
+    (init,) = [
+        item
+        for node in ast.walk(kernel_tree)
+        if isinstance(node, ast.ClassDef) and node.name == "FusedCountKernel"
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and item.name == "__init__"
+    ]
+    params = [arg.arg for arg in init.args.args + init.args.kwonlyargs]
+    assert params == ["self", "ladder", "repetitions", "budget"]
+
+    defined: Dict[str, Set[str]] = {
+        "trial_split": set(), "count_lookup": set(),
+    }
+    for path in sorted(PKG.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name in defined:
+                defined[node.name].add(str(path.relative_to(PKG)))
+    assert defined == {
+        "trial_split": {"core/apc.py"},
+        "count_lookup": {"core/apc.py"},
+    }
